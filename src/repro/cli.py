@@ -291,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "metrics-serve",
         help="serve (or print) the merged OpenMetrics view of a fleet "
-             "directory or telemetry export — the /metrics endpoint the "
-             "service daemon will mount",
+             "directory or telemetry export — the same view the service "
+             "daemon folds into its /metrics under serve --telemetry-dir",
     )
     p_serve.add_argument("dir", metavar="DIR",
                          help="a live fleet root or an exported telemetry "
@@ -510,8 +510,7 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
         print(f"{r.figure:<{width}}  {mark}  {r.description}  [{r.detail}]")
     # The cache verdict comes through the metrics registry (the same
     # counters every other consumer reads), not raw dict plumbing.
-    from repro.obs.live import cache_counters
-    from repro.obs.registry import MetricsRegistry
+    from repro.obs.registry import MetricsRegistry, cache_counters
 
     reg = MetricsRegistry()
     cache_counters(reg, cache_stats)

@@ -33,8 +33,6 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
 from repro.errors import CommError, MpError
 from repro.mp import collectives as _coll
-from repro.obs import live as _live
-from repro.sched.base import current_task_label as _task_label
 from repro.trace import events as _trace_events
 from repro.trace.events import active as _trace_active, emit as _trace_emit
 from repro.mp.mailbox import (
@@ -202,19 +200,6 @@ class Comm:
         self._executor = world.executor
         self._lockstep = self._executor.mode == "lockstep"
         self._mailboxes = world.mailboxes
-        # Communicators are constructed on (and used from) their owning
-        # rank task — MPI_THREAD_FUNNELED semantics — so the live-probe
-        # hooks can be bound to this task's label once, here.  Resolving
-        # the thread-local label (and building a (label, size) tuple) per
-        # event cost ~2x the probe append itself on the send/recv path.
-        p = _live.probe
-        if p is not None:
-            label = _task_label() or "main"
-            self._p_sent = p.sent_for(label)
-            self._p_recv = p.received_for(label)
-        else:
-            self._p_sent = None
-            self._p_recv = None
         # Packet memo for repeated sends of the *same* immutable object
         # (loop counters, sentinel tokens, broadcast constants): identity
         # plus immutability make reusing the packed form safe, and the memo
@@ -379,9 +364,6 @@ class Comm:
                 vtime=clock.now,
                 hb_rel=("msg", self._world.scope, msg.uid),
             )
-        ps = self._p_sent
-        if ps is not None:
-            ps(msg.packet.size)
         # Indexed deposit: files the message under its (context, source,
         # tag) bucket so the receiver matches it O(1).  Lockstep mailboxes
         # carry no lock at all (one task runs at a time); thread-mode
@@ -465,9 +447,6 @@ class Comm:
                 vtime=clock.now,
                 hb_rel=("msg", self._world.scope, msg.uid),
             )
-        ps = self._p_sent
-        if ps is not None:
-            ps(msg.packet.size)
         self._world.mailboxes[gdest].deposit(msg)
         self._executor.notify()
         return msg
@@ -502,9 +481,6 @@ class Comm:
                 now = clock.now
                 arrival = msg.arrival
                 clock.now = (arrival if arrival > now else now) + self._ovh
-                pr = self._p_recv
-                if pr is not None:
-                    pr(msg.packet.size)
                 if msg.sync:
                     self._executor.notify()
                 packet = msg.packet
@@ -531,9 +507,6 @@ class Comm:
             now = clock.now
             arrival = msg.arrival
             clock.now = (arrival if arrival > now else now) + self._ovh
-            pr = self._p_recv
-            if pr is not None:
-                pr(msg.packet.size)
             if msg.sync:
                 self._executor.notify()
         else:
@@ -629,9 +602,6 @@ class Comm:
                 vtime=clock.now,
                 hb_acq=("msg", self._world.scope, msg.uid),
             )
-        pr = self._p_recv
-        if pr is not None:
-            pr(msg.packet.size)
         if msg.sync:
             self._world.executor.notify()  # release the rendezvous sender
         return msg
@@ -660,9 +630,6 @@ class Comm:
                 now = clock.now
                 arrival = msg.arrival
                 clock.now = (arrival if arrival > now else now) + self._ovh
-                pr = self._p_recv
-                if pr is not None:
-                    pr(msg.packet.size)
                 if msg.sync:
                     self._executor.notify()
                 return msg.packet

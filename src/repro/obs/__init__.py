@@ -1,11 +1,9 @@
-"""Observability layer: metrics registry, derivation, probes, reports.
+"""Observability layer: metrics registry, derivation, reports.
 
-Two populations of the same registry vocabulary:
-
-- :mod:`repro.obs.live` — probes fed by hook sites on the scheduler and
-  transport hot paths (one ``None`` test when disabled);
-- :mod:`repro.obs.derive` — a pure post-hoc pass over any trace, so
-  cache-served and pickled runs yield byte-identical metrics.
+Every run metric comes from one producer, :mod:`repro.obs.derive` — a
+pure post-hoc pass over a run's trace, so serial, pooled and
+cache-served runs yield byte-identical metrics.  The engine's hot paths
+carry no metrics hooks of their own.
 
 Plus :mod:`repro.obs.report`, the self-contained HTML run report;
 :mod:`repro.obs.telemetry`, the fleet telemetry plane (span contexts,
@@ -22,7 +20,6 @@ from repro.obs.derive import (
     run_summary,
 )
 from repro.obs.fleet_report import render_fleet_report, write_fleet_report
-from repro.obs.live import Probe, probing
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -52,7 +49,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsServer",
-    "Probe",
     "SpanContext",
     "WorkerJournal",
     "blocked_intervals",
@@ -64,7 +60,6 @@ __all__ = [
     "merge_registries",
     "metrics_dict",
     "parse_openmetrics",
-    "probing",
     "read_journals",
     "render_fleet_report",
     "render_report",

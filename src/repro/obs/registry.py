@@ -36,6 +36,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "cache_counters",
     "merge_registries",
     "parse_openmetrics",
 ]
@@ -413,6 +414,17 @@ def merge_registries(*registries: MetricsRegistry) -> MetricsRegistry:
             for key, value in fam.samples.items():
                 merged.samples[key] = value
     return out
+
+
+def cache_counters(registry: MetricsRegistry, stats: Mapping[str, int]) -> None:
+    """Record run-cache hit/miss/store stats as registry counters."""
+    names = {
+        "hits": ("cache_hits", "Run-cache hits."),
+        "misses": ("cache_misses", "Run-cache misses."),
+        "stores": ("cache_stores", "Run records written to the cache."),
+    }
+    for key, (name, help_text) in names.items():
+        registry.counter(name, help_text).inc(None, int(stats.get(key, 0)))
 
 
 # -- the OpenMetrics reader ---------------------------------------------------

@@ -34,8 +34,8 @@ cache counters, a cell-wall histogram, and fleet gauges (queue depth,
 busy/idle workers, steals, cache hit rate).  The registry's fully
 sorted OpenMetrics export makes two scrapes of a quiesced fleet
 byte-identical; :class:`MetricsServer` mounts it on a stdlib HTTP
-endpoint (``patternlet metrics-serve``) — the same ``/metrics`` route
-the ROADMAP-1 serve daemon will reuse unchanged.
+endpoint (``patternlet metrics-serve``); the serve daemon folds the
+same registry into its own ``/metrics`` under ``serve --telemetry-dir``.
 """
 
 from __future__ import annotations

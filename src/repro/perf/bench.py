@@ -109,20 +109,11 @@ optimises:
     both arms see the same machine state.  The speedup is the number the
     tentpole promises (≥ 2x warm).
 
-``metrics_overhead_pct``
-    How much of the un-instrumented message throughput the live metrics
-    probes (:mod:`repro.obs.live`) cost, interleaved A/B.  Gated
-    *absolutely* against :data:`METRICS_OVERHEAD_BUDGET_PCT` (6%)
-    regardless of the baseline file, so instrumentation can never
-    silently eat the hot path.  The probe hooks are bound C appends
-    with deferred aggregation, which is what holds the measured cost in
-    the documented ~3-5% envelope.
-
 ``telemetry_overhead_pct``
     What the fleet telemetry plane (worker journals + span propagation,
     :mod:`repro.obs.telemetry`) costs on warm fleet sweeps, interleaved
     A/B between a journalling fleet and a plain one over the same warm
-    cache — the same estimator as ``metrics_overhead_pct``.  Gated
+    cache, taking the best per-round ratio.  Gated
     *absolutely* against :data:`TELEMETRY_OVERHEAD_BUDGET_PCT` (5%):
     journals are a handful of buffered JSONL appends per cell, which
     must stay invisible next to the messenger's own file traffic.
@@ -164,7 +155,6 @@ from repro.trace import muted
 __all__ = [
     "HIGHER_IS_BETTER",
     "LOWER_IS_BETTER",
-    "METRICS_OVERHEAD_BUDGET_PCT",
     "SCHEMA",
     "TELEMETRY_OVERHEAD_BUDGET_PCT",
     "bench_allreduce_latency",
@@ -173,7 +163,6 @@ __all__ = [
     "bench_figure_suite",
     "bench_fleet_sweep",
     "bench_large_np_suite",
-    "bench_metrics_overhead",
     "bench_msg_throughput",
     "bench_np1024_spmd",
     "bench_run_setup",
@@ -218,14 +207,8 @@ LOWER_IS_BETTER = (
     "serve_p99_ms",
 )
 
-#: Absolute ceiling (percent) for live-probe hot-path overhead.  Fixed,
-#: not tolerance-derived: the documented probe cost is ~3-5%, so 6% is
-#: one honest notch of headroom, and a probe redesign that regresses past
-#: it fails every ``--check`` no matter what baseline file is used.
-METRICS_OVERHEAD_BUDGET_PCT = 6.0
-
 #: Absolute ceiling (percent) for the fleet telemetry plane's overhead
-#: on warm sweeps.  Fixed like the probe budget: journalling is a few
+#: on warm sweeps.  Fixed, not tolerance-derived: journalling is a few
 #: buffered JSONL appends per cell, so a redesign that costs more than
 #: 5% of fleet throughput fails every ``--check`` on any baseline.
 TELEMETRY_OVERHEAD_BUDGET_PCT = 5.0
@@ -671,44 +654,6 @@ def bench_selfcheck_ab(*, rounds: int = 3) -> dict[str, float]:
     }
 
 
-def bench_metrics_overhead(*, quick: bool = False, rounds: int = 3) -> float:
-    """Live-probe overhead on the hottest path, as a percentage.
-
-    Interleaved A/B over the immutable message stream: one arm with no
-    probe installed (the engine's ``_live.probe is None`` fast path), one
-    arm under :func:`repro.obs.live.probing`.  Each round measures its
-    two arms back to back and yields one probed/base ratio — adjacent
-    measurements share machine conditions, so a per-round ratio is far
-    more stable than comparing bests across rounds.  The reported
-    overhead is the *minimum* across rounds: interference (GC, a noisy
-    neighbour) can only depress one arm and inflate the apparent
-    overhead, never hide real hook cost that is paid in every round.
-    The result is how much of the un-instrumented throughput the live
-    metrics hooks cost — gated absolutely in :func:`compare` against
-    :data:`METRICS_OVERHEAD_BUDGET_PCT` (6%), tighter than the
-    regression tolerance because the probe's cost is a design property
-    of the hooks, not a machine property.
-    """
-    from repro.obs.live import probing
-
-    n = 3000 // (5 if quick else 1)
-    best_ratio = 0.0
-    for i in range(rounds):
-        # Alternate arm order: a multi-round noise burst then lands on
-        # each arm equally instead of depressing one arm every round.
-        if i % 2:
-            with probing():
-                probed = bench_msg_throughput(12345, n=n)
-            base = bench_msg_throughput(12345, n=n)
-        else:
-            base = bench_msg_throughput(12345, n=n)
-            with probing():
-                probed = bench_msg_throughput(12345, n=n)
-        if base > 0:
-            best_ratio = max(best_ratio, probed / base)
-    return round(max(0.0, (1.0 - best_ratio) * 100), 2)
-
-
 def bench_telemetry_overhead(
     *, quick: bool = False, rounds: int = 3, workers: int | None = None
 ) -> float:
@@ -716,8 +661,9 @@ def bench_telemetry_overhead(
 
     Interleaved A/B over the same warm private cache: one persistent
     fleet with journals off (base), one with ``telemetry=True`` (probed)
-    — each round runs both arms back to back in alternating order, the
-    same estimator discipline as :func:`bench_metrics_overhead`.  The
+    — each round runs both arms back to back in alternating order, so
+    adjacent measurements share machine conditions and a per-round
+    ratio is far more stable than comparing bests across rounds.  The
     probed arm pays everything the telemetry plane adds per cell: the
     span-context install, the post-run lineage stamp, and the journal
     appends (claim, cell start/finish, job done).  The reported overhead
@@ -865,11 +811,6 @@ def run_benchmarks(
     out.update(bench_serve(quick=quick, rounds=1 if quick else 3))
     note("selfcheck cold/warm interleaved A/B")
     out.update(bench_selfcheck_ab(rounds=1 if quick else 3))
-    note("live metrics probe overhead A/B")
-    # Always 7 rounds: the min-across-rounds estimator needs several
-    # probed/base pairs to shed interference, and quick mode already
-    # shrinks the per-round message count 5x.
-    out["metrics_overhead_pct"] = bench_metrics_overhead(quick=quick, rounds=7)
     note("fleet telemetry overhead A/B (journals on vs off)")
     out["telemetry_overhead_pct"] = bench_telemetry_overhead(
         quick=quick, rounds=3 if quick else 5, workers=fleet
@@ -1025,18 +966,9 @@ def compare(
     visible rather than mistaken for a passing check.
     """
     failures: list[str] = []
-    # The probe-overhead gate is absolute (no baseline needed): the live
-    # metrics hooks must stay inside METRICS_OVERHEAD_BUDGET_PCT of the
-    # hot path, whatever machine measured it.
-    overhead = current.get("metrics_overhead_pct")
-    if overhead is not None and overhead > METRICS_OVERHEAD_BUDGET_PCT:
-        failures.append(
-            f"metrics_overhead_pct: live-probe overhead {overhead:.1f}% "
-            f"exceeds the {METRICS_OVERHEAD_BUDGET_PCT:.0f}% hot-path budget"
-        )
-    # The telemetry gate is absolute for the same reason: worker journals
+    # The telemetry gate is absolute (no baseline needed): worker journals
     # must stay within TELEMETRY_OVERHEAD_BUDGET_PCT of warm fleet
-    # throughput on any machine.
+    # throughput, whatever machine measured it.
     telemetry = current.get("telemetry_overhead_pct")
     if telemetry is not None and telemetry > TELEMETRY_OVERHEAD_BUDGET_PCT:
         failures.append(

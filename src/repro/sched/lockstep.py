@@ -80,7 +80,6 @@ from repro.sched.base import (
     resolve_describe,
     set_task_label,
 )
-from repro.obs import live as _live
 from repro.sched.policy import Policy, RandomPolicy
 from repro.trace import events as _trace_events
 from repro.trace.events import active as _trace_active, emit as _trace_emit
@@ -428,9 +427,6 @@ class LockstepExecutor(Executor):
                 rec = _trace_events._top
                 if rec is not None and rec.recording:
                     rec.emit("sched.run", task=nxt.label)
-                p = _live.probe
-                if p is not None:
-                    p.run(nxt.label)
                 s = nxt.start
                 if s is None:
                     nxt.sem.release()
@@ -469,9 +465,6 @@ class LockstepExecutor(Executor):
                 rec = _trace_events._top
                 if rec is not None and rec.recording:
                     rec.emit("sched.block", task=me.label)
-                p = _live.probe
-                if p is not None:
-                    p.block(me.label)
                 # _pick_next_locked + _hand_token_locked inlined, as in
                 # checkpoint(): this block runs once per blocked receive.
                 # *me* is skipped in the promote pass — its predicate was
@@ -519,9 +512,6 @@ class LockstepExecutor(Executor):
                     rec = _trace_events._top
                     if rec is not None and rec.recording:
                         rec.emit("sched.run", task=nxt.label)
-                    p = _live.probe
-                    if p is not None:
-                        p.run(nxt.label)
                     s = nxt.start
                     if s is None:
                         nxt.sem.release()
@@ -651,9 +641,6 @@ class LockstepExecutor(Executor):
         rec = _trace_events._top
         if rec is not None and rec.recording:
             rec.emit("sched.run", task=nxt.label)
-        p = _live.probe
-        if p is not None:
-            p.run(nxt.label)
         s = nxt.start
         if s is None:
             nxt.sem.release()
@@ -688,9 +675,6 @@ class LockstepExecutor(Executor):
             rec = _trace_events._top
             if rec is not None and rec.recording:
                 rec.emit("sched.wake", task=st.label)
-            p = _live.probe
-            if p is not None:
-                p.wake(st.label)
         if promoted is not None:
             for tid in promoted:
                 del blocked[tid]

@@ -273,7 +273,7 @@ class RankThreadPool:
 
 
 #: The process-wide pool.  Read through the module (``_pool.get_pool()``)
-#: so fork resets are visible everywhere, mirroring ``obs.live.probe``.
+#: so fork resets are visible everywhere.
 _POOL = RankThreadPool()
 
 

@@ -2,8 +2,10 @@
 
 Canonical metrics are a pure function of the trace plus identity meta,
 so (a) reruns of the same spec agree exactly, (b) serial, pooled, and
-cache-served executions agree byte-for-byte, and (c) the live probe and
-the post-hoc derivation count the same events.
+cache-served executions agree byte-for-byte, and (c) the derived counters
+match oracles kept outside the trace: the lockstep executor's own
+scheduling log, and the sync-site counts each program performs by
+construction.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from repro.batch.pool import run_specs, shutdown_pool
 from repro.batch.results import _memo_clear
 from repro.batch.specs import RunSpec
 from repro.core.registry import run_patternlet
-from repro.obs import derive_metrics, metrics_dict, probing
-from repro.obs import live as _live
+from repro.obs import derive_metrics, metrics_dict
+from repro.sched.lockstep import LockstepExecutor
+from repro.sched.policy import RandomPolicy
+from repro.trace import using_recorder
 
 
 def _canon(run) -> str:
@@ -92,90 +96,76 @@ class TestCacheServedIdentity:
             )
 
 
-def _counter_values(reg, name):
-    fam = reg.get(name)
-    return dict(fam.labels_seen() and fam.samples or {}) if fam else {}
+def _per_task(reg, family):
+    fam = reg.get(family)
+    return {dict(key)["task"]: value for key, value in fam.samples.items()}
 
 
 class TestLiveDerivedAgreement:
-    """The probe (fed by engine hook sites) and the trace derivation
-    count the same events — values compared, exemplars ignored."""
+    """Counts kept live, while the run happens, equal the derived ones.
 
-    NAMES = [
-        "sched_switches",
-        "sched_blocks",
-        "sched_wakes",
-        "messages_sent",
-        "message_bytes_sent",
-        "messages_received",
-        "message_bytes_received",
-        "barrier_arrivals",
-        "critical_acquisitions",
-        "atomic_updates",
-    ]
+    The live side never goes through the trace recorder or the derivation
+    pass: ``LockstepExecutor.steps()`` is written at every switch point
+    beside the trace emit, so it tallies ``run``/``block``/``wake``; and
+    each sync patternlet performs a known count by construction: one
+    barrier arrival per thread, ``reps`` (50) guarded updates each.
+    """
 
-    def _compare(self, name, tasks, seed, toggles=None):
-        with probing() as probe:
-            run = run_patternlet(name, tasks=tasks, seed=seed, toggles=toggles)
-        live = probe.to_registry()
-        derived = derive_metrics(run.trace)
-        for family in self.NAMES:
-            lf, df = live.get(family), derived.get(family)
-            assert (lf.samples if lf else {}) == (df.samples if df else {}), (
-                f"{family} disagrees for {name} seed={seed}"
-            )
+    TASKS = [f"omp:{i}" for i in range(4)]
 
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=25, deadline=None)
     @given(
-        name=st.sampled_from(
-            [
-                "openmp.spmd",
-                "openmp.barrier",
-                "openmp.parallelLoopDynamic",
-                "mpi.messagePassing",
-                "mpi.reduction",
-            ]
-        ),
         tasks=st.integers(2, 5),
-        seed=st.integers(0, 50),
+        rounds=st.integers(1, 4),
+        seed=st.integers(0, 1000),
     )
-    def test_live_equals_derived(self, name, tasks, seed):
-        self._compare(name, tasks, seed)
+    def test_live_equals_derived(self, tasks, rounds, seed):
+        ex = LockstepExecutor(policy=RandomPolicy(seed))
+        arrived = [0]
 
-    def test_critical_and_atomic_sites_agree(self):
-        # critical2 is excluded on purpose: it mutes its timing loop, so
-        # the probe sees events the trace (correctly) never records.
-        self._compare(
-            "openmp.critical", tasks=4, seed=0, toggles={"critical": True}
-        )
-        self._compare(
-            "openmp.atomic", tasks=4, seed=0, toggles={"atomic": True}
-        )
+        def body():
+            # A hand-rolled barrier per round: every arrival but the last
+            # finds the count short and blocks until the last one wakes it.
+            for r in range(1, rounds + 1):
+                arrived[0] += 1
+                if arrived[0] == r * tasks:
+                    ex.notify()
+                else:
+                    ex.wait_until(lambda r=r: arrived[0] >= r * tasks)
+
+        with using_recorder() as rec:
+            ex.run_tasks([body] * tasks, [f"t{i}" for i in range(tasks)])
+        reg = derive_metrics(rec)
+        for event, family in (
+            ("run", "sched_switches"),
+            ("block", "sched_blocks"),
+            ("wake", "sched_wakes"),
+        ):
+            want: dict[str, float] = {}
+            for kind, label in ex.steps():
+                if kind == event:
+                    want[label] = want.get(label, 0) + 1
+            assert want, f"program never produced a {event!r} step"
+            assert _per_task(reg, family) == want, family
+
+    def _counts(self, name, toggles, family):
+        run = run_patternlet(name, tasks=4, seed=2, toggles=toggles)
+        return _per_task(derive_metrics(run.trace), family)
 
     def test_barrier_site_agrees(self):
-        self._compare(
-            "openmp.barrier", tasks=4, seed=2, toggles={"barrier": True}
+        got = self._counts(
+            "openmp.barrier", {"barrier": True}, "barrier_arrivals"
+        )
+        assert got == dict.fromkeys(self.TASKS, 1)
+        assert (
+            self._counts("openmp.barrier", {"barrier": False}, "barrier_arrivals")
+            == {}
         )
 
-
-class TestProbeLifecycle:
-    def test_probing_installs_and_removes(self):
-        assert _live.probe is None
-        with probing() as p:
-            assert _live.probe is p
-        assert _live.probe is None
-
-    def test_probes_do_not_nest(self):
-        with probing():
-            with pytest.raises(RuntimeError):
-                with probing():
-                    pass
-
-    def test_probe_counts_untraced_runs_too(self):
-        from repro.trace.events import muted
-
-        with probing() as p:
-            with muted():
-                run_patternlet("mpi.messagePassing", tasks=3, seed=0)
-        assert sum(p.msgs_sent.values()) == 3
-        assert sum(p.msgs_recvd.values()) == 3
+    def test_critical_and_atomic_sites_agree(self):
+        assert self._counts(
+            "openmp.critical", {"critical": True}, "critical_acquisitions"
+        ) == dict.fromkeys(self.TASKS, 50)
+        assert self._counts(
+            "openmp.atomic", {"atomic": True}, "atomic_updates"
+        ) == dict.fromkeys(self.TASKS, 50)

@@ -75,17 +75,6 @@ class TestComparePolicy:
             "serve_p99_ms",
         }
 
-    def test_probe_overhead_gated_against_absolute_budget(self):
-        # metrics_overhead_pct is gated against the fixed 6% budget, with
-        # no baseline needed — tighter than the regression tolerance.
-        assert bench.METRICS_OVERHEAD_BUDGET_PCT == 6.0
-        over = dict(METRICS, metrics_overhead_pct=7.5)
-        failures = compare(over, METRICS)
-        assert len(failures) == 1
-        assert "6%" in failures[0]
-        under = dict(METRICS, metrics_overhead_pct=4.2)
-        assert compare(under, METRICS) == []
-
     def test_telemetry_overhead_gated_against_absolute_budget(self):
         # telemetry_overhead_pct has its own fixed budget (5%): worker
         # journalling must stay cheap on warm fleet sweeps everywhere.
