@@ -22,13 +22,24 @@ Every filesystem touch is wrapped: a read-only HOME, a corrupt record,
 or a concurrent writer degrade to cache misses, never to run failures.
 
 The store is explicitly **multi-writer safe**: the sweep fleet points
-many worker processes at one root.  Writes go through a temp file plus
-atomic ``os.replace`` (a reader sees the old record or the new one,
-never a torn one), the pruning walk tolerates records and whole fan-out
-directories deleted mid-scan by a concurrent pruner, and an eviction is
-only counted by the process whose ``unlink`` actually removed the file —
-two caches pruning the same root cannot double-count one eviction
-between them.
+many worker processes at one root.  Writes go through :func:`write_json`
+(a temp file plus atomic ``os.replace``: a reader sees the old record or
+the new one, never a torn one), the pruning walk tolerates records and
+whole fan-out directories deleted mid-scan by a concurrent pruner, and
+an eviction is only counted by the process whose ``unlink`` actually
+removed the file — two caches pruning the same root cannot double-count
+one eviction between them.  The same walk unlinks ``*.tmp`` files older
+than :data:`TMP_GRACE_S` (left by a writer killed between its temp file
+and its rename) and counts younger ones toward the stored bytes.
+
+Pruning is triggered by bytes, not calls: an instance walks the store
+on its first store and then each time it has stored a sixteenth of the
+cap (at least :data:`MIN_PRUNE_TRIGGER`) since its last walk.  The
+first walk bounds short-lived writers too (one CLI sweep, one fleet
+shard): each leaves the store within about ``cap * (1 + 1 / 16)``.
+Pool workers and the daemon's execution lane serve many calls per
+process, so they share one instance per root (:func:`shared_cache`);
+with W writers the store then stays within about ``cap * (1 + W / 16)``.
 
 The disk store is the second of two tiers: content addresses make
 records immutable-by-key, so each process also keeps a small decoded
@@ -50,6 +61,7 @@ import json
 import os
 import tempfile
 import threading
+import time
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -71,9 +83,19 @@ __all__ = [
     "cache_enabled",
     "caching_runs",
     "default_cache_dir",
+    "shared_cache",
+    "write_json",
 ]
 
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
+#: Floor of the prune trigger: a sixteenth of the smallest cap
+#: ``REPRO_CACHE_MAX_MB`` can set, so a tiny programmatic cap does not
+#: walk the store on every put.
+MIN_PRUNE_TRIGGER = 64 * 1024
+#: Age past which a ``*.tmp`` file is a dead writer's orphan, not a
+#: write in flight (a live write renames its temp file within
+#: milliseconds).
+TMP_GRACE_S = 60.0
 
 
 def cache_enabled() -> bool:
@@ -96,11 +118,34 @@ def _max_bytes_from_env() -> int:
         return DEFAULT_MAX_BYTES
 
 
+def write_json(path: Path, doc: Mapping[str, Any]) -> int:
+    """Atomically publish ``doc`` as compact JSON at ``path``.
+
+    The document is encoded in one C-accelerated ``json.dumps`` pass
+    (``json.dump`` into a file streams through the pure-Python encoder,
+    several times slower on a run record) and written as bytes to a temp
+    file beside ``path``, which ``os.replace`` then moves over it.  The
+    bytes equal those of ``json.dump(doc, fh, separators=(",", ":"))``.
+    Returns the number of bytes written, or 0 when ``doc`` cannot be
+    encoded or the filesystem refuses the write.
+    """
+    try:
+        data = json.dumps(doc, separators=(",", ":")).encode()
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            _quiet_unlink(Path(tmp))
+            raise
+    except (OSError, TypeError, ValueError):
+        return 0
+    return len(data)
+
+
 class RunCache:
     """One on-disk record store (see module docstring for layout/policy)."""
-
-    #: Prune every N stores, amortising the directory walk.
-    PRUNE_EVERY = 32
 
     def __init__(self, root: str | Path | None = None, *, max_bytes: int | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
@@ -110,7 +155,12 @@ class RunCache:
         self.misses = 0
         self.stores = 0
         self.evictions = 0
-        self._puts_since_prune = 0
+        # Starts at the trigger, so the first store walks the store.
+        self._stored_since_prune = self._prune_trigger()
+
+    def _prune_trigger(self) -> int:
+        """Bytes stored between two walks of the store."""
+        return max(self.max_bytes // 16, MIN_PRUNE_TRIGGER)
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -147,54 +197,56 @@ class RunCache:
         path = self._path(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(record, fh, separators=(",", ":"))
-                os.replace(tmp, path)
-            except BaseException:
-                _quiet_unlink(Path(tmp))
-                raise
-        except (OSError, TypeError, ValueError):
+        except OSError:
+            return False
+        written = write_json(path, record)
+        if not written:
             return False
         self.stores += 1
-        self._puts_since_prune += 1
-        if self._puts_since_prune >= self.PRUNE_EVERY:
+        self._stored_since_prune += written
+        if self._stored_since_prune >= self._prune_trigger():
             self.prune()
         return True
 
-    def _records(self) -> list[tuple[float, int, Path]]:
+    def _scan(self) -> tuple[list[tuple[float, int, Path]], int]:
+        """``(records, bytes of temp files in flight)``; orphans are unlinked."""
         # Hand-rolled two-level walk instead of ``glob("*/*.json")``: a
         # concurrent pruner can delete a whole fan-out directory between
         # listing it and descending into it, and the glob iterator would
         # surface that as an exception mid-stream.  Here a vanished
         # directory or record is simply not a record any more.
-        out: list[tuple[float, int, Path]] = []
+        records: list[tuple[float, int, Path]] = []
+        in_flight = 0
+        orphaned_before = time.time() - TMP_GRACE_S
         try:
             subdirs = list(self.root.iterdir())
         except OSError:
-            return out
+            return records, in_flight
         for sub in subdirs:
             try:
                 entries = list(sub.iterdir())
             except OSError:
                 continue  # deleted (or unreadable) mid-scan
             for path in entries:
-                if path.suffix != ".json":
+                if path.suffix not in (".json", ".tmp"):
                     continue
                 try:
                     st = path.stat()
                 except OSError:
-                    continue  # deleted mid-scan
-                out.append((st.st_mtime, st.st_size, path))
-        return out
+                    continue  # deleted (or renamed) mid-scan
+                if path.suffix == ".json":
+                    records.append((st.st_mtime, st.st_size, path))
+                elif not (st.st_mtime < orphaned_before and _quiet_unlink(path)):
+                    in_flight += st.st_size
+        return records, in_flight
 
     def size_bytes(self) -> int:
-        """Total bytes currently stored."""
-        return sum(size for _, size, _ in self._records())
+        """Total bytes currently stored, temp files in flight included."""
+        records, in_flight = self._scan()
+        return sum(size for _, size, _ in records) + in_flight
 
     def __len__(self) -> int:
-        return len(self._records())
+        return len(self._scan()[0])
 
     def prune(self) -> int:
         """Drop least-recently-used records until under the size cap.
@@ -205,9 +257,10 @@ class RunCache:
         whoever actually removed it counts it, so ``stats()`` across all
         writers sums to the true eviction count.
         """
-        self._puts_since_prune = 0
-        records = sorted(self._records())  # oldest mtime first
-        total = sum(size for _, size, _ in records)
+        self._stored_since_prune = 0
+        records, in_flight = self._scan()
+        records.sort()  # oldest mtime first
+        total = sum(size for _, size, _ in records) + in_flight
         removed = 0
         for _, size, path in records:
             if total <= self.max_bytes:
@@ -225,9 +278,9 @@ class RunCache:
         return removed
 
     def clear(self) -> int:
-        """Remove every record (returns the count removed)."""
+        """Remove every record and orphaned temp file (returns the record count)."""
         removed = 0
-        for _, _, path in self._records():
+        for _, _, path in self._scan()[0]:
             if _quiet_unlink(path):
                 removed += 1
         return removed
@@ -248,6 +301,23 @@ def _quiet_unlink(path: Path) -> bool:
         return True
     except OSError:
         return False
+
+
+_SHARED: dict[str, RunCache] = {}
+
+
+def shared_cache(root: str | Path | None = None) -> RunCache:
+    """This process's one :class:`RunCache` for ``root``.
+
+    Callers that serve many calls per process (pool workers, the
+    daemon's execution lane) reuse it, so its prune trigger counts every
+    store the process makes.  Read its counters as before/after deltas.
+    """
+    path = Path(root) if root is not None else default_cache_dir()
+    cache = _SHARED.get(str(path))
+    if cache is None:
+        cache = _SHARED.setdefault(str(path), RunCache(path))
+    return cache
 
 
 # -- in-process single flight -------------------------------------------------

@@ -78,7 +78,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from repro.batch.cache import RunCache, cache_enabled, caching_runs
+from repro.batch.cache import RunCache, cache_enabled, caching_runs, write_json
 from repro.batch.results import (
     BatchReport,
     RunOutcome,
@@ -210,25 +210,6 @@ def _stall_hook() -> tuple[str, float] | None:
 # -- atomic file documents ----------------------------------------------------
 
 
-def _write_doc(path: Path, doc: Mapping[str, Any]) -> bool:
-    """Atomically publish ``doc`` at ``path`` (temp file + ``os.replace``)."""
-    try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, separators=(",", ":"))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-    except (OSError, TypeError, ValueError):
-        return False
-    return True
-
-
 def _read_doc(path: Path) -> dict[str, Any] | None:
     """Read a message document; ``None`` for absent/torn/foreign files."""
     try:
@@ -293,7 +274,7 @@ def _run_job(
             cells=len(cells),
             stolen_from=stolen_from,
         )
-    _write_doc(
+    write_json(
         status_path,
         {
             "type": MSG_RUNNING,
@@ -344,7 +325,7 @@ def _run_job(
                     ranks=list((outcome.metrics or {}).get("tasks", ()))[:16],
                 )
             out.append([gidx, outcome_to_wire(outcome)])
-            _write_doc(
+            write_json(
                 status_path,
                 {
                     "type": MSG_RUNNING,
@@ -356,7 +337,7 @@ def _run_job(
                 },
             )
     stats = cm.cache.stats() if cm.cache is not None else {}
-    _write_doc(
+    write_json(
         root / "results" / f"shard-{shard}.json",
         {
             "type": MSG_JOB_DONE,
@@ -424,7 +405,7 @@ def _fleet_worker_main(
             # post-batch cleanup swept the file), not every poll tick —
             # an idle fleet must not grind the message directory.
             if not ready_written or not status_path.exists():
-                _write_doc(
+                write_json(
                     status_path,
                     {"type": MSG_READY, "worker": worker_id, "pid": os.getpid()},
                 )
@@ -454,7 +435,7 @@ def _fleet_worker_main(
         except Exception:  # noqa: BLE001 - a poisoned shard must not kill the worker
             # Publish an empty JOB_DONE so the coordinator reposts the
             # shard's cells instead of waiting for a dead man's result.
-            _write_doc(
+            write_json(
                 root / "results" / f"shard-{job['shard']}.json",
                 {
                     "type": MSG_JOB_DONE,
@@ -572,7 +553,7 @@ class Fleet:
         }
         if stolen_from is not None:
             doc["stolen_from"] = stolen_from
-        if not _write_doc(self.root / "jobs" / f"shard-{shard_id}.json", doc):
+        if not write_json(self.root / "jobs" / f"shard-{shard_id}.json", doc):
             raise FleetError(f"cannot post job for shard {shard_id}")
         shards[shard_id] = _Shard(cells=list(indices), stolen_from=stolen_from)
         if self._journal is not None:
@@ -714,7 +695,7 @@ class Fleet:
         stolen = victim.cells[new_keep : victim.effective_total]
         if not stolen:
             return 0
-        if not _write_doc(
+        if not write_json(
             self.root / "revoke" / f"shard-{victim_id}.json", {"keep": new_keep}
         ):
             return 0

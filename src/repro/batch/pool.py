@@ -12,13 +12,16 @@ Work arrives as picklable items plus a module-level function to apply
   (forked where the platform allows — they inherit a warm ``repro``
   import), re-initialised with a fresh ambient trace state
   (:func:`repro.trace.reset_ambient` — a worker must never emit into its
-  parent's recorder), and reused across calls and batches.
+  parent's recorder), and reused across calls and batches.  Items go
+  out in chunks of about ``1 / CHUNKS_PER_WORKER`` of a worker's share,
+  so a short cell does not pay a queue round trip of its own.
 - Pool creation or a mid-batch pool collapse degrades to the serial
   twin; results are identical either way (the equivalence tests pin
   this), so the fallback is silent.
 
-Every worker call runs inside :class:`~repro.batch.cache.caching_runs`,
-so deterministic runs are computed at most once across the whole fleet:
+Every worker call runs inside :class:`~repro.batch.cache.caching_runs`
+over the process's :func:`~repro.batch.cache.shared_cache`, so
+deterministic runs are computed at most once across the whole fleet:
 the on-disk store is the coordination point, and its atomic writes make
 concurrent workers safe (worst case two workers race to compute the
 same key once).
@@ -31,7 +34,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.batch.cache import RunCache, cache_enabled, caching_runs
+from repro.batch.cache import cache_enabled, caching_runs, shared_cache
 from repro.batch.results import BatchReport, RunOutcome
 from repro.batch.specs import RunSpec, spec_key
 
@@ -45,6 +48,10 @@ __all__ = [
 
 _POOL: ProcessPoolExecutor | None = None
 _POOL_WORKERS = 0
+#: Chunks each worker is handed per batch: enough that the last chunk
+#: leaves at most about a sixteenth of a worker's share as tail
+#: imbalance, few enough that the queue round trips stay amortised.
+CHUNKS_PER_WORKER = 16
 
 
 def default_workers(n_items: int) -> int:
@@ -123,18 +130,35 @@ def _merge_stats(into: "dict[str, int] | None", stats: dict[str, int]) -> None:
         into[key] = into.get(key, 0) + int(stats.get(key, 0))
 
 
+def _cached_calls(
+    fn: Callable[[Any], Any],
+    items: Sequence[Any],
+    cache_dir: str | None,
+    use_cache: bool,
+) -> tuple[list[Any], dict[str, int]]:
+    """Apply ``fn`` to ``items`` under this process's run cache.
+
+    Returns the results and the cache counters these calls moved.  The
+    cache is shared by every call in the process, so the counters are a
+    before/after delta; one process runs one call at a time (the
+    ambient trace allows one live run per process).
+    """
+    cache = shared_cache(cache_dir) if use_cache else None
+    before = cache.stats() if cache is not None else _ZERO_STATS
+    with caching_runs(cache, enabled=use_cache):
+        results = [fn(item) for item in items]
+    after = cache.stats() if cache is not None else _ZERO_STATS
+    return results, {key: after[key] - before[key] for key in _ZERO_STATS}
+
+
 def _entry(
     payload: tuple[Callable[[Any], Any], Any, str | None, bool]
 ) -> tuple[Any, dict[str, int]]:
     # Runs on a worker: apply fn to one item under the run cache.  The
-    # cache's own hit/miss/store counters ride back with the result so
-    # the parent can aggregate telemetry across the fleet.
+    # cache's hit/miss/store deltas ride back with the result so the
+    # parent can aggregate telemetry across the fleet.
     fn, item, cache_dir, use_cache = payload
-    cache = RunCache(cache_dir) if (use_cache and cache_dir is not None) else None
-    cm = caching_runs(cache, enabled=use_cache)
-    with cm:
-        result = fn(item)
-    stats = cm.cache.stats() if cm.cache is not None else dict(_ZERO_STATS)
+    (result,), stats = _cached_calls(fn, (item,), cache_dir, use_cache)
     return result, stats
 
 
@@ -178,12 +202,9 @@ def _run_serial(
     use_cache: bool,
     stats_out: "dict[str, int] | None" = None,
 ) -> list[Any]:
-    cache = RunCache(cache_dir) if (use_cache and cache_dir is not None) else None
-    cm = caching_runs(cache, enabled=use_cache)
-    with cm:
-        results = [fn(item) for item in items]
-    if cm.cache is not None:
-        _merge_stats(stats_out, cm.cache.stats())
+    results, stats = _cached_calls(fn, items, cache_dir, use_cache)
+    if use_cache:
+        _merge_stats(stats_out, stats)
     return results
 
 
@@ -214,8 +235,9 @@ def map_calls(
     if pool is None:
         return _run_serial(fn, items, cache_dir, use, stats_out), 1, False
     payloads = [(fn, item, cache_dir, use) for item in items]
+    chunksize = max(1, len(payloads) // (workers * CHUNKS_PER_WORKER))
     try:
-        pairs = list(pool.map(_entry, payloads))
+        pairs = list(pool.map(_entry, payloads, chunksize=chunksize))
     except Exception:  # noqa: BLE001 - a broken pool degrades, never fails
         shutdown_pool()
         return _run_serial(fn, items, cache_dir, use, stats_out), 1, False
@@ -228,7 +250,6 @@ def _exec_spec(spec: RunSpec) -> RunOutcome:
     """Run one spec (on whichever process) and summarise it."""
     from repro.core.registry import run_patternlet
     from repro.obs.derive import run_summary
-    from repro.trace import detect_races
 
     try:
         key = spec_key(spec)
@@ -268,6 +289,7 @@ def _exec_spec(spec: RunSpec) -> RunOutcome:
             run.trace.context = dict(labels)
         except AttributeError:
             pass  # a bare event list has nowhere to carry it
+    summary = run_summary(run.trace, tasks_hint=run.meta.get("tasks"))
     return RunOutcome(
         spec=spec,
         key=key,
@@ -275,8 +297,8 @@ def _exec_spec(spec: RunSpec) -> RunOutcome:
         text=run.text,
         span=run.span,
         wall=run.wall,
-        races=len(detect_races(run.trace)),
-        metrics=run_summary(run.trace, tasks_hint=run.meta.get("tasks")),
+        races=summary["races"],  # the summary's own detect_races verdict
+        metrics=summary,
     )
 
 

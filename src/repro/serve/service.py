@@ -697,7 +697,6 @@ class PatternletService:
         """Decode one cache record into a RunOutcome-shaped object."""
         from repro.batch.results import run_from_record
         from repro.obs.derive import run_summary
-        from repro.trace import detect_races
 
         try:
             run = run_from_record(dict(record))
@@ -706,6 +705,7 @@ class PatternletService:
                                status=500) from None
         from repro.batch.results import RunOutcome
 
+        summary = run_summary(run.trace, tasks_hint=run.meta.get("tasks"))
         return RunOutcome(
             spec=None,
             key=key,
@@ -713,8 +713,8 @@ class PatternletService:
             text=run.text,
             span=run.span,
             wall=run.wall,
-            races=len(detect_races(run.trace)),
-            metrics=run_summary(run.trace, tasks_hint=run.meta.get("tasks")),
+            races=summary["races"],
+            metrics=summary,
         )
 
     def _payload_for(self, key: str, outcome: Any) -> bytes:

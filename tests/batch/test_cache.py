@@ -181,6 +181,114 @@ class TestStore:
         assert cache.stats()["evictions"] == cache.evictions >= removed
 
 
+class TestRecordBytes:
+    """Records are compact ``json.dumps`` bytes, so older stores stay valid."""
+
+    def _record(self):
+        run = run_patternlet("openmp.reduction", toggles={"parallel_for": True}, seed=1)
+        key = spec_key(RunSpec.make("openmp.reduction", toggles={"parallel_for": True}, seed=1))
+        return key, run_to_record(run, key=key)
+
+    def test_put_writes_exactly_the_compact_dumps_bytes(self, tmp_path):
+        cache = _cache(tmp_path)
+        key, record = self._record()
+        record = dict(record, note="caf\u00e9 \u2192 \U0001f600", ratio=0.1 + 0.2)
+        assert cache.put(key, record)
+        assert cache._path(key).read_bytes() == json.dumps(
+            record, separators=(",", ":")).encode()
+
+    def test_record_written_by_a_streaming_dump_is_a_hit(self, tmp_path, monkeypatch):
+        # Stores written before the one-pass encoder streamed the record
+        # through ``json.dump``: the same bytes, so still served.
+        cache = _cache(tmp_path)
+        key, record = self._record()
+        path = cache._path(key)
+        path.parent.mkdir(parents=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, separators=(",", ":"))
+        legacy = path.read_bytes()
+        assert cache.get(key) == record
+
+        def sentinel(*a, **k):
+            raise AssertionError("a legacy record was not served")
+
+        monkeypatch.setattr(registry, "capture_run", sentinel)
+        with caching_runs(cache, enabled=True):
+            served = run_patternlet(
+                "openmp.reduction", toggles={"parallel_for": True}, seed=1)
+        assert served.meta["cached"] is True
+        assert cache.put(key, record) and path.read_bytes() == legacy
+
+
+class TestOrphanedTempFiles:
+    """A writer killed between ``mkstemp`` and ``os.replace`` leaks a ``.tmp``."""
+
+    def _temp_file(self, cache, *, size, age_s):
+        import os
+        import time
+
+        sub = cache.root / "ab"
+        sub.mkdir(parents=True, exist_ok=True)
+        path = sub / "tmpdeadwriter.tmp"
+        path.write_bytes(b"x" * size)
+        stamp = time.time() - age_s
+        os.utime(path, (stamp, stamp))
+        return path
+
+    def test_stale_orphan_is_removed_by_prune(self, tmp_path):
+        cache = _cache(tmp_path, max_bytes=1)
+        orphan = self._temp_file(cache, size=200_000, age_s=3600)
+        assert cache.prune() == 0  # not a record: no eviction counted
+        assert not orphan.exists()
+        assert cache.size_bytes() == 0
+
+    def test_stale_orphan_is_removed_by_clear(self, tmp_path):
+        cache = _cache(tmp_path)
+        cache.put("ab" + "0" * 62, {"schema": 1, "pad": "x"})
+        orphan = self._temp_file(cache, size=1000, age_s=3600)
+        assert cache.clear() == 1
+        assert not orphan.exists() and cache.size_bytes() == 0
+
+    def test_write_in_flight_is_kept_and_counted(self, tmp_path):
+        cache = _cache(tmp_path, max_bytes=1)
+        fresh = self._temp_file(cache, size=1000, age_s=0)
+        assert cache.size_bytes() == 1000
+        cache.prune()
+        assert fresh.exists()  # a live writer is about to rename it
+
+
+class TestPruneTrigger:
+    RECORD = {"schema": 1, "pad": "x" * 8000}  # 8023 bytes on disk
+
+    @pytest.mark.parametrize("cap_mib, puts_under", [(1, 8), (2, 16)])
+    def test_prunes_on_the_first_store_then_per_sixteenth_of_the_cap(
+        self, tmp_path, cap_mib, puts_under
+    ):
+        cache = _cache(tmp_path, max_bytes=cap_mib * 1024 * 1024)
+        pruned = []
+        real_prune = cache.prune
+        cache.prune = lambda: pruned.append(1) or real_prune()  # type: ignore[method-assign]
+        cache.put("ee" + "a" * 62, self.RECORD)
+        assert pruned == [1]  # a fresh instance walks on its first store
+        for i in range(puts_under):  # just under cap / 16 in total
+            cache.put(f"{i:02d}" + "a" * 62, self.RECORD)
+        assert pruned == [1]
+        cache.put("ff" + "a" * 62, self.RECORD)
+        assert pruned == [1, 1]
+
+    def test_short_lived_writers_keep_an_overfull_store_bounded(self, tmp_path):
+        cap = 1024 * 1024
+        filler = _cache(tmp_path, max_bytes=1 << 30)
+        for i in range(200):  # about 1.6 MB: past the cap
+            filler.put(f"{i:03d}" + "b" * 61, self.RECORD)
+        assert filler.size_bytes() > cap
+        for writer in range(6):  # e.g. one CLI sweep or fleet shard each
+            cache = _cache(tmp_path, max_bytes=cap)
+            for i in range(4):  # 32 KB, well under cap / 16
+                cache.put(f"{writer}{i}" + "c" * 62, self.RECORD)
+            assert cache.size_bytes() <= cap + cap // 16
+
+
 # -- multi-writer safety ------------------------------------------------------
 
 # Worker bodies live at module level so the fork/spawn machinery can

@@ -32,6 +32,34 @@ def clean_slate():
     shutdown_pool()
 
 
+class TestRaceVerdict:
+    def test_outcome_races_equal_the_trace_verdict(self, tmp_path):
+        # The outcome takes its race count from the run summary; it must
+        # be the detector's verdict on the run's own trace, whether the
+        # cell executed (cold) or was served from the store (warm).
+        from repro.core.registry import run_patternlet
+        from repro.trace import detect_races
+
+        specs = figure_suite_specs(range(2))
+        expect = []
+        for spec in specs:
+            run = run_patternlet(
+                spec.patternlet, tasks=spec.tasks,
+                toggles=spec.toggle_dict or None, mode=spec.mode,
+                seed=spec.seed, policy=spec.policy, topology=spec.topology,
+                **spec.extra_dict)
+            expect.append(len(detect_races(run.trace)))
+        assert any(expect)  # the suite includes racy figure runs
+        cache_dir = str(tmp_path / "runs")
+        for phase in ("cold", "warm"):
+            _memo_clear()
+            shutdown_pool()
+            report = run_specs(specs, max_workers=2, use_cache=True,
+                               cache_dir=cache_dir)
+            assert report.hits == (len(specs) if phase == "warm" else 0)
+            assert [o.races for o in report.outcomes] == expect, phase
+
+
 class TestFigureSuiteEquivalence:
     @pytest.fixture(scope="class")
     def serial(self):

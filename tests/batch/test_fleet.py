@@ -101,6 +101,26 @@ class TestWireCodecs:
         with pytest.raises(CacheUnserializable):
             spec_to_wire(spec)
 
+    def test_doc_round_trips_through_the_shared_writer(self, tmp_path):
+        import json
+
+        from repro.batch.cache import write_json
+        from repro.batch.fleet import _read_doc
+
+        report = run_specs(_grid(2), max_workers=1, use_cache=False)
+        doc = {"type": "job_done", "shard": 3, "worker": 1,
+               "outcomes": [[i, outcome_to_wire(o)]
+                            for i, o in enumerate(report.outcomes)]}
+        path = tmp_path / "shard-3.json"
+        written = write_json(path, doc)
+        assert written == len(path.read_bytes())
+        assert path.read_bytes() == json.dumps(doc, separators=(",", ":")).encode()
+        assert _read_doc(path) == doc
+        assert [p.name for p in tmp_path.iterdir()] == ["shard-3.json"]
+        assert write_json(tmp_path / "missing" / "x.json", doc) == 0
+        assert write_json(tmp_path / "bad.json", {"x": object()}) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["shard-3.json"]
+
     def test_outcome_round_trip_preserves_the_fingerprint(self):
         report = run_specs(_grid(2), max_workers=1, use_cache=False)
         for outcome in report.outcomes:

@@ -23,6 +23,14 @@ def _double(x):
     return x * 2
 
 
+def _spmd_seed_and_lines(seed):
+    """Module-level: one cacheable run, tagged with its item."""
+    from repro.core.registry import run_patternlet
+
+    run = run_patternlet("openmp.spmd", tasks=2, seed=seed)
+    return seed, len(run.text.splitlines())
+
+
 def _run_and_count(spec_seed):
     """Run one deterministic patternlet; return its print-line count."""
     from repro.core.registry import run_patternlet
@@ -109,6 +117,69 @@ class TestFallback:
             _double, [1, 2, 3], max_workers=4, use_cache=False
         )
         assert results == [2, 4, 6] and workers == 1 and not pooled
+
+
+class TestChunkedDispatch:
+    def test_chunksize_is_a_sixteenth_of_each_workers_share(self, monkeypatch):
+        seen = []
+
+        class InlinePool:
+            def map(self, fn, payloads, chunksize=1):
+                seen.append(chunksize)
+                return map(fn, payloads)
+
+        monkeypatch.setattr(pool_mod, "_get_pool", lambda workers: InlinePool())
+        for n, workers in ((97, 2), (20, 2), (31, 2), (640, 4)):
+            results, _w, pooled = map_calls(
+                _double, range(n), max_workers=workers, use_cache=False)
+            assert pooled and results == [x * 2 for x in range(n)]
+        assert seen == [3, 1, 1, 10]
+
+    def test_97_items_keep_order_and_match_serial_stats(self, tmp_path):
+        from repro.batch.results import _memo_clear
+
+        seeds = list(range(97))
+        expect, _, _ = map_calls(_spmd_seed_and_lines, seeds, max_workers=1,
+                                 use_cache=False)
+        for phase in ("cold", "warm"):
+            _memo_clear()
+            shutdown_pool()  # warm: fresh workers read the disk store
+            serial_stats: dict = {}
+            pooled_stats: dict = {}
+            serial, _, _ = map_calls(
+                _spmd_seed_and_lines, seeds, max_workers=1, use_cache=True,
+                cache_dir=str(tmp_path / "serial"), stats_out=serial_stats)
+            pooled, workers, was_pooled = map_calls(
+                _spmd_seed_and_lines, seeds, max_workers=2, use_cache=True,
+                cache_dir=str(tmp_path / "pooled"), stats_out=pooled_stats)
+            assert was_pooled and workers == 2
+            assert serial == pooled == expect, phase
+            assert pooled_stats == serial_stats, phase
+            if phase == "cold":
+                assert serial_stats == {"hits": 0, "misses": 97, "stores": 97,
+                                        "evictions": 0}
+            else:
+                assert serial_stats["hits"] == 97 and serial_stats["stores"] == 0
+
+
+class TestPooledDiskBound:
+    def test_pooled_sweep_under_a_small_cap_stays_bounded(self, tmp_path, monkeypatch):
+        from repro.batch.cache import RunCache
+        from repro.batch.specs import figure_suite_specs
+
+        workers = 2
+        cap = 1024 * 1024
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "1")
+        shutdown_pool()  # workers fork with the cap in their environment
+        root = tmp_path / "capped"
+        report = run_specs(figure_suite_specs(range(20)), max_workers=workers,
+                           use_cache=True, cache_dir=str(root))
+        assert report.pooled and not report.errors
+        assert report.cache_stats["stores"] == report.runs
+        assert report.cache_stats["evictions"] > 0  # the workers pruned
+        largest = max(p.stat().st_size for p in root.glob("*/*.json"))
+        assert RunCache(root).size_bytes() <= cap * (1 + workers / 16) + largest
+        assert not list(root.rglob("*.tmp"))
 
 
 class TestMutedReentrancy:
