@@ -47,7 +47,7 @@ from typing import Any, Mapping
 from repro.core.capture import CapturedRun
 from repro.errors import CacheUnserializable
 from repro.trace import detect_races
-from repro.trace.events import Event
+from repro.trace.events import Event, _new_event
 
 __all__ = [
     "RECORD_SCHEMA",
@@ -157,7 +157,7 @@ def _event_from_wire(wire: list[Any]) -> Event:
         hb_acq = decode_value(hb_acq)
     if type(hb_rel) is dict:
         hb_rel = decode_value(hb_rel)
-    return Event(
+    return _new_event(
         wire[0],
         wire[1],
         wire[2],

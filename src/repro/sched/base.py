@@ -35,12 +35,16 @@ executors.
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import ParallelError, TaskFailedError
+
+# Thread-local identity used for output attribution (see repro.core.capture)
+# and for the lockstep executor to recognise its own managed tasks.  It
+# lives in the trace layer, which reads it on every emission.
+from repro.trace.events import task_local as _tls
 
 __all__ = [
     "Executor",
@@ -62,10 +66,6 @@ def resolve_describe(describe: "str | Callable[[], str]") -> str:
     the rare path that actually reports it (deadlock, watchdog timeout).
     """
     return describe() if callable(describe) else describe
-
-# Thread-local identity used for output attribution (see repro.core.capture)
-# and for the lockstep executor to recognise its own managed tasks.
-_tls = threading.local()
 
 
 def current_task_label() -> str | None:

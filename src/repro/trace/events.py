@@ -54,13 +54,13 @@ __all__ = [
 ]
 
 
-def _current_task() -> str:
-    # Imported lazily: repro.sched imports this module (the lockstep
-    # executor forwards its scheduling events here), so a top-level import
-    # would be circular.
-    from repro.sched.base import current_task_label
-
-    return current_task_label() or "main"
+#: The calling thread's task identity: ``task_local.label`` is the label of
+#: the task running on this thread (``"omp:3"``, ``"mpi:2"``), or absent.
+#: :mod:`repro.sched.base` owns its API (``current_task_label`` /
+#: ``set_task_label``); it lives here because an event defaults its
+#: ``task`` to it, and this module cannot import :mod:`repro.sched` (which
+#: imports this module) at top level.
+task_local = threading.local()
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,6 +93,44 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         vt = f", vtime={self.vtime:g}" if self.vtime is not None else ""
         return f"Event({self.seq}, {self.task!r}, {self.kind!r}{vt})"
+
+
+# The frozen dataclass ``__init__`` stores each field through
+# ``object.__setattr__``; storing through the slot descriptors directly is
+# the same write without the generic attribute lookup.  Bound once here.
+_new_object = object.__new__
+(_set_seq, _set_task, _set_kind, _set_vtime, _set_hb_acq, _set_hb_rel,
+ _set_payload) = (
+    getattr(Event, f).__set__
+    for f in ("seq", "task", "kind", "vtime", "hb_acq", "hb_rel", "payload")
+)
+
+
+def _new_event(
+    seq: int,
+    task: str,
+    kind: str,
+    vtime: float | None,
+    hb_acq: Hashable | None,
+    hb_rel: Hashable | None,
+    payload: dict[str, Any],
+) -> Event:
+    """Build an :class:`Event` without the frozen ``__init__``.
+
+    The one constructor on the recording and decoding hot paths (every
+    emission, every cache-record decode).  The result is an ordinary frozen
+    ``Event``: equal to ``Event(...)`` with the same fields, and assignment
+    still raises ``FrozenInstanceError``.  All seven fields are required.
+    """
+    ev = _new_object(Event)
+    _set_seq(ev, seq)
+    _set_task(ev, task)
+    _set_kind(ev, kind)
+    _set_vtime(ev, vtime)
+    _set_hb_acq(ev, hb_acq)
+    _set_hb_rel(ev, hb_rel)
+    _set_payload(ev, payload)
+    return ev
 
 
 class TraceRecorder:
@@ -154,37 +192,20 @@ class TraceRecorder:
         code emitting *about* another task passes ``task=`` explicitly.
         """
         if task is None:
-            task = _current_task()
+            task = getattr(task_local, "label", None) or "main"
         with self._lock:
             n = self._n
-            if len(self._events) >= self.limit:
-                if not self.ring:
-                    self.dropped += 1
-                    return None
-                ev = Event(
-                    seq=n,
-                    task=task,
-                    kind=kind,
-                    vtime=vtime,
-                    hb_acq=hb_acq,
-                    hb_rel=hb_rel,
-                    payload=payload,
-                )
+            if len(self._events) < self.limit:
+                ev = _new_event(n, task, kind, vtime, hb_acq, hb_rel, payload)
+                self._events.append(ev)
+            elif self.ring:
+                ev = _new_event(n, task, kind, vtime, hb_acq, hb_rel, payload)
                 # Reuse the ring slot of the oldest event.
                 self._events[n % self.limit] = ev
                 self.evicted += 1
-                self._n = n + 1
-                return ev
-            ev = Event(
-                seq=n,
-                task=task,
-                kind=kind,
-                vtime=vtime,
-                hb_acq=hb_acq,
-                hb_rel=hb_rel,
-                payload=payload,
-            )
-            self._events.append(ev)
+            else:
+                self.dropped += 1
+                return None
             self._n = n + 1
         return ev
 
@@ -407,10 +428,28 @@ def emit(
     hb_rel: Hashable | None = None,
     **payload: Any,
 ) -> Event | None:
-    """Emit to the ambient recorder; a cheap no-op when none is installed."""
+    """Emit to the ambient recorder; a cheap no-op when none is installed.
+
+    For a plain :class:`TraceRecorder` below its limit — every recorded
+    run — the event is appended here, in this one frame, rather than
+    through :meth:`TraceRecorder.emit` (which would re-pack ``payload``).
+    Subclasses, and any recorder at its limit (head drop or ring
+    eviction), take :meth:`TraceRecorder.emit`, which owns those policies.
+    """
     rec = _top
     if rec is None or not rec.recording:
         return None
+    if type(rec) is TraceRecorder:
+        if task is None:
+            task = getattr(task_local, "label", None) or "main"
+        with rec._lock:
+            events = rec._events
+            if len(events) < rec.limit:
+                n = rec._n
+                ev = _new_event(n, task, kind, vtime, hb_acq, hb_rel, payload)
+                events.append(ev)
+                rec._n = n + 1
+                return ev
     return rec.emit(
         kind, task=task, vtime=vtime, hb_acq=hb_acq, hb_rel=hb_rel, **payload
     )

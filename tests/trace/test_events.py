@@ -1,10 +1,15 @@
 """The event spine: recorder, ambient stack, muting."""
 
+import dataclasses
 import threading
 
 import pytest
 
+from repro.batch.results import run_from_record, run_to_record
+from repro.core import run_patternlet
+from repro.sched.base import set_task_label, task_label_scope
 from repro.trace import (
+    Event,
     TraceRecorder,
     active,
     as_events,
@@ -15,6 +20,7 @@ from repro.trace import (
     push_recorder,
     using_recorder,
 )
+from repro.trace.events import _new_event
 
 
 class TestRecorder:
@@ -138,3 +144,109 @@ class TestMuted:
         with muted():
             rec.emit("io.print", task="main", line="still captured")
         assert len(rec) == 1
+
+
+def _fields(ev: Event) -> tuple:
+    return tuple(getattr(ev, f.name) for f in dataclasses.fields(Event))
+
+
+class TestEmitPaths:
+    """The module ``emit`` appends in its own frame for a plain recorder;
+    it must record exactly what :meth:`TraceRecorder.emit` records."""
+
+    def test_module_and_recorder_emit_interleave_equal(self):
+        with using_recorder() as rec:
+            a = emit("k", task="t", vtime=1.5, hb_rel=("r", 1), line="x")
+            b = rec.emit("k", task="t", vtime=1.5, hb_rel=("r", 1), line="x")
+            c = emit("j", hb_acq=("r", 1))
+            d = rec.emit("j", hb_acq=("r", 1))
+        assert rec.events() == [a, b, c, d]
+        assert [e.seq for e in rec.events()] == [0, 1, 2, 3]
+        assert _fields(a)[1:] == _fields(b)[1:]
+        assert _fields(c)[1:] == _fields(d)[1:]
+        assert a == Event(0, "t", "k", 1.5, None, ("r", 1), {"line": "x"})
+        assert c == Event(2, "main", "j", None, ("r", 1), None, {})
+
+    def test_module_emit_at_the_limit_is_dropped_and_counted(self):
+        with using_recorder(TraceRecorder(limit=2)) as rec:
+            assert emit("a") is not None
+            assert emit("b") is not None
+            assert emit("c") is None
+            assert emit("d") is None
+        assert [e.kind for e in rec.events()] == ["a", "b"]
+        assert rec.dropped == 2 and rec.evicted == 0
+
+    def test_subclass_emit_is_honoured(self):
+        class Tagging(TraceRecorder):
+            def emit(self, kind, **kwargs):
+                return super().emit(kind, tagged=True, **kwargs)
+
+        with using_recorder(Tagging()) as rec:
+            emit("k", line="x")
+        assert rec.events()[0].payload == {"line": "x", "tagged": True}
+
+    @pytest.mark.parametrize("direct", [False, True])
+    def test_task_defaults_to_main_and_follows_the_label(self, direct):
+        rec = TraceRecorder()
+        put = rec.emit if direct else emit
+        with using_recorder(rec):
+            put("unlabelled")
+            with task_label_scope("omp:3"):
+                put("scoped")
+            set_task_label("mpi:2")
+            try:
+                put("set")
+            finally:
+                set_task_label(None)
+            put("cleared")
+        assert [e.task for e in rec.events()] == ["main", "omp:3", "mpi:2", "main"]
+
+    def test_task_label_is_per_thread(self):
+        rec = TraceRecorder()
+
+        def body():
+            set_task_label("worker")
+            emit("from-thread")
+
+        with using_recorder(rec):
+            t = threading.Thread(target=body)
+            t.start()
+            t.join(timeout=10)
+            assert not t.is_alive()
+            emit("from-main")
+        assert {e.kind: e.task for e in rec.events()} == {
+            "from-thread": "worker",
+            "from-main": "main",
+        }
+
+
+class TestEventConstruction:
+    """Every hot-path builder yields an ordinary frozen :class:`Event`."""
+
+    def _assert_plain_frozen(self, ev: Event) -> None:
+        assert type(ev) is Event
+        assert ev == Event(*_fields(ev))
+        assert repr(ev) == repr(Event(*_fields(ev)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ev.seq = 99
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ev.payload = {}
+
+    def test_new_event_equals_the_dataclass_constructor(self):
+        ev = _new_event(3, "omp:1", "mem.write", 2.0, ("a", 1), None, {"cell": "c"})
+        assert ev == Event(3, "omp:1", "mem.write", 2.0, ("a", 1), None, {"cell": "c"})
+        assert ev != Event(3, "omp:1", "mem.write", 2.0, ("a", 1), None, {})
+        self._assert_plain_frozen(ev)
+
+    def test_recorded_events_are_plain_frozen_events(self):
+        rec = TraceRecorder()
+        self._assert_plain_frozen(rec.emit("k", task="t", line="x"))
+        with using_recorder(rec):
+            self._assert_plain_frozen(emit("k", vtime=1.0))
+
+    def test_decoded_events_are_plain_frozen_events(self):
+        run = run_patternlet("mpi.reduction", tasks=4, seed=0)
+        served = run_from_record(run_to_record(run, key="k"))
+        assert served.trace.events() == run.trace.events()
+        for ev in served.trace.events():
+            self._assert_plain_frozen(ev)

@@ -47,6 +47,14 @@ class TestRingMode:
         assert rec.emit("c", task="t") is None
         assert rec.dropped == 1 and rec.evicted == 0
 
+    def test_module_emit_evicts_in_ring_mode(self):
+        with using_recorder(TraceRecorder(limit=2, ring=True)) as rec:
+            returned = [events_mod.emit(f"k{i}", task="t") for i in range(5)]
+        assert all(ev is not None for ev in returned)
+        assert [e.seq for e in returned] == [0, 1, 2, 3, 4]
+        assert [e.kind for e in rec.events()] == ["k3", "k4"]
+        assert rec.evicted == 3 and rec.dropped == 0
+
     def test_ring_is_thread_safe(self):
         rec = TraceRecorder(limit=50, ring=True)
 
@@ -97,3 +105,31 @@ class TestEmitFastPath:
                 for _ in range(10):
                     events_mod.emit("k", task="t")
             assert entered == []
+
+    def test_muted_emit_never_takes_the_shadowed_recorder_lock(self):
+        # The module emit appends to a plain recorder under its lock
+        # without calling ``rec.emit``, so patching ``emit`` (as above)
+        # cannot see a leak; the lock and the storage must stay untouched.
+        class CountingLock:
+            def __init__(self):
+                self.entries = 0
+                self._lock = threading.Lock()
+
+            def __enter__(self):
+                self.entries += 1
+                return self._lock.__enter__()
+
+            def __exit__(self, *exc):
+                return self._lock.__exit__(*exc)
+
+        with using_recorder() as rec:
+            events_mod.emit("before", task="t")
+            rec._lock = lock = CountingLock()
+            with muted():
+                for _ in range(10):
+                    events_mod.emit("k", task="t")
+                    events_mod.emit("k")
+            assert lock.entries == 0
+            events_mod.emit("after", task="t")
+        assert lock.entries == 1
+        assert [e.kind for e in rec.events()] == ["before", "after"]
