@@ -2,41 +2,30 @@
 
 The paper's workflows are batch-shaped: an instructor (or the selfcheck
 suite, or a grader) runs every patternlet across task counts, toggle
-states, and seeds.  This package executes such fleets through a
+states, and seeds.  This package executes such grids through a
 persistent worker pool and never recomputes a deterministic run it has
 already seen:
 
 - :mod:`repro.batch.specs` — :class:`RunSpec` grids, SHA-256 content
   addresses over (patternlet source, engine fingerprint, toggles, np,
-  scheduler identity, seed), and the fleet's shard planner;
+  scheduler identity, seed);
 - :mod:`repro.batch.cache` — the on-disk LRU record store
   (``~/.cache/repro-runs``) and the ``run_patternlet`` interceptor that
   serves it; multi-writer safe, so many processes share one root;
 - :mod:`repro.batch.results` — byte-faithful run records (full event
-  trace, span, race verdict), the fleet's spec/outcome wire codecs, and
-  batch summaries;
-- :mod:`repro.batch.pool` — the warm ``ProcessPoolExecutor`` fan-out
-  with an in-process serial twin;
-- :mod:`repro.batch.fleet` — persistent worker *processes* coordinated
-  through a file-based job messenger (typed ``READY_FOR_JOB`` /
-  ``NEW_JOB`` / ``JOB_DONE`` / ``NO_WORK_LEFT`` documents) with
-  coordinator-side work stealing over straggling shards.
+  trace, span, race verdict), the spec/outcome wire codecs the serve
+  daemon ships to pool workers, and batch summaries;
+- :mod:`repro.batch.pool` — the warm fork ``ProcessPoolExecutor``
+  fan-out with an in-process serial twin; the only multi-process
+  backend.
 
 Consumers: ``patternlet selfcheck`` (figure checks as one batch),
-``patternlet sweep`` (seed × np grids, ``--fleet`` for the sharded
-path), and ``repro.perf.bench`` (the ``batch_throughput_runs_s`` /
-``cache_hit_rate`` / ``fleet_sweep_runs_s`` metrics).
+``patternlet sweep`` (seed × np grids, ``--jobs N`` for the pooled
+path), ``patternlet serve``, and ``repro.perf.bench`` (the
+``batch_throughput_runs_s`` / ``cache_hit_rate`` metrics).
 """
 
 from repro.batch.cache import RunCache, cache_enabled, caching_runs, default_cache_dir
-from repro.batch.fleet import (
-    Fleet,
-    FleetError,
-    fleet_advisory,
-    fleet_size,
-    run_specs_fleet,
-    shutdown_fleet,
-)
 from repro.batch.pool import default_workers, map_calls, run_specs, shutdown_pool
 from repro.batch.results import (
     BatchReport,
@@ -56,7 +45,6 @@ from repro.batch.specs import (
     engine_fingerprint,
     figure_suite_specs,
     key_for_config,
-    plan_shards,
     spec_key,
     sweep_fingerprint,
 )
@@ -64,8 +52,6 @@ from repro.batch.specs import (
 __all__ = [
     "BatchReport",
     "FIGURE_RUNS",
-    "Fleet",
-    "FleetError",
     "RunCache",
     "RunOutcome",
     "RunSpec",
@@ -77,18 +63,13 @@ __all__ = [
     "encode_value",
     "engine_fingerprint",
     "figure_suite_specs",
-    "fleet_advisory",
-    "fleet_size",
     "key_for_config",
     "map_calls",
     "outcome_from_wire",
     "outcome_to_wire",
-    "plan_shards",
     "run_from_record",
     "run_specs",
-    "run_specs_fleet",
     "run_to_record",
-    "shutdown_fleet",
     "shutdown_pool",
     "spec_from_wire",
     "spec_key",

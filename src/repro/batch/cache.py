@@ -21,8 +21,8 @@ Environment knobs (the escape hatches):
 Every filesystem touch is wrapped: a read-only HOME, a corrupt record,
 or a concurrent writer degrade to cache misses, never to run failures.
 
-The store is explicitly **multi-writer safe**: the sweep fleet points
-many worker processes at one root.  Writes go through :func:`write_json`
+The store is explicitly **multi-writer safe**: pool workers and the
+serve daemon share one root.  Writes go through :func:`write_json`
 (a temp file plus atomic ``os.replace``: a reader sees the old record or
 the new one, never a torn one), the pruning walk tolerates records and
 whole fan-out directories deleted mid-scan by a concurrent pruner, and
@@ -35,8 +35,8 @@ and its rename) and counts younger ones toward the stored bytes.
 Pruning is triggered by bytes, not calls: an instance walks the store
 on its first store and then each time it has stored a sixteenth of the
 cap (at least :data:`MIN_PRUNE_TRIGGER`) since its last walk.  The
-first walk bounds short-lived writers too (one CLI sweep, one fleet
-shard): each leaves the store within about ``cap * (1 + 1 / 16)``.
+first walk bounds short-lived writers too (one CLI sweep, one
+selfcheck): each leaves the store within about ``cap * (1 + 1 / 16)``.
 Pool workers and the daemon's execution lane serve many calls per
 process, so they share one instance per root (:func:`shared_cache`);
 with W writers the store then stays within about ``cap * (1 + W / 16)``.

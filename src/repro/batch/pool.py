@@ -21,7 +21,7 @@ Work arrives as picklable items plus a module-level function to apply
 
 Every worker call runs inside :class:`~repro.batch.cache.caching_runs`
 over the process's :func:`~repro.batch.cache.shared_cache`, so
-deterministic runs are computed at most once across the whole fleet:
+deterministic runs are computed at most once across all the workers:
 the on-disk store is the coordination point, and its atomic writes make
 concurrent workers safe (worst case two workers race to compute the
 same key once).
@@ -59,10 +59,9 @@ def default_workers(n_items: int) -> int:
 
     ``REPRO_JOBS=<n>`` overrides the CPU heuristic (still clamped to the
     item count — more workers than items is pure overhead), so CI and
-    classroom environments can pin both the in-process pool and the
-    sweep fleet to a deterministic size without threading CLI flags
-    through every entry point.  Unparsable or non-positive values fall
-    back to the heuristic.
+    classroom environments can pin the pool to a deterministic size
+    without threading CLI flags through every entry point.  Unparsable
+    or non-positive values fall back to the heuristic.
     """
     raw = os.environ.get("REPRO_JOBS")
     if raw:
@@ -156,7 +155,7 @@ def _entry(
 ) -> tuple[Any, dict[str, int]]:
     # Runs on a worker: apply fn to one item under the run cache.  The
     # cache's hit/miss/store deltas ride back with the result so the
-    # parent can aggregate telemetry across the fleet.
+    # parent can sum them across workers.
     fn, item, cache_dir, use_cache = payload
     (result,), stats = _cached_calls(fn, (item,), cache_dir, use_cache)
     return result, stats
@@ -277,18 +276,6 @@ def _exec_spec(spec: RunSpec) -> RunOutcome:
             races=0,
             error=f"{type(exc).__name__}: {exc}",
         )
-    from repro.obs.telemetry import current_context
-
-    ctx = current_context()
-    if ctx is not None:
-        # Stamp lineage *after* the run (the cache record is already
-        # stored, so the span never leaks into cached bytes or keys).
-        labels = ctx.to_meta()
-        run.meta["telemetry"] = labels
-        try:
-            run.trace.context = dict(labels)
-        except AttributeError:
-            pass  # a bare event list has nowhere to carry it
     summary = run_summary(run.trace, tasks_hint=run.meta.get("tasks"))
     return RunOutcome(
         spec=spec,

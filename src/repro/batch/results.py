@@ -282,18 +282,17 @@ def _run_from_entry(entry: tuple[Any, ...]) -> CapturedRun:
     return run
 
 
-# -- spec and outcome wire forms (the fleet's file messenger) -----------------
+# -- spec and outcome wire forms (the serve daemon's worker protocol) ---------
 
 
 def spec_to_wire(spec: Any) -> dict[str, Any]:
     """A :class:`~repro.batch.specs.RunSpec` as one plain-JSON document.
 
-    The fleet coordinator ships shards of specs to worker *processes*
-    through job files, so specs must cross as canonical JSON rather than
-    pickles — the same codec discipline as cache records.  Raises
+    The serve daemon ships each execution to its lane or a pool worker
+    in this form, so specs cross as canonical JSON rather than live
+    objects — the same codec discipline as cache records.  Raises
     :class:`~repro.errors.CacheUnserializable` for extras outside the
-    record vocabulary (the coordinator then keeps the whole batch
-    in-process instead of shipping it).
+    record vocabulary.
     """
     return {
         "patternlet": spec.patternlet,
@@ -324,7 +323,7 @@ def spec_from_wire(wire: Mapping[str, Any]) -> Any:
 
 
 def outcome_to_wire(outcome: "RunOutcome") -> dict[str, Any]:
-    """A :class:`RunOutcome` as one plain-JSON document (fleet results).
+    """A :class:`RunOutcome` as one plain-JSON document (served results).
 
     ``metrics`` is best-effort like a record's ``result`` field: a
     summary that will not serialise is shipped as absent rather than
@@ -401,13 +400,6 @@ class BatchReport:
     #: Aggregated run-cache counters (hits/misses/stores) across every
     #: process that served this batch, when the runner collected them.
     cache_stats: dict[str, int] | None = None
-    #: Fleet execution summary (worker count, shards, steals, reposts and
-    #: per-shard completion provenance) when the batch ran on the
-    #: multi-process sweep fleet; ``None`` for in-process batches.
-    fleet: dict[str, Any] | None = None
-    #: Telemetry-export summary (sweep id, merged-journal record count,
-    #: export directory) when the fleet ran with journals enabled.
-    telemetry: dict[str, Any] | None = None
 
     @property
     def runs(self) -> int:
@@ -504,10 +496,6 @@ class BatchReport:
             out["cache_misses"] = self.cache_stats.get("misses", 0)
             out["cache_stores"] = self.cache_stats.get("stores", 0)
             out["cache_evictions"] = self.cache_stats.get("evictions", 0)
-        if self.fleet is not None:
-            out["fleet"] = self.fleet
-        if self.telemetry is not None:
-            out["telemetry"] = self.telemetry
         cells = self.cell_stats()
         if cells:
             out["cells"] = cells

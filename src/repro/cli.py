@@ -14,9 +14,7 @@ exactly the workflow of the paper's live-coding demos:
     patternlet run mpi.broadcast --np 8 --topology ring
     patternlet sweep openmp.reduction --on parallel_for --seeds 0-15
     patternlet sweep mpi.broadcast --np 2,4,8,16,32 --topology flat,binomial
-    patternlet sweep --fleet 2 --telemetry telem --telemetry-port 9178
-    patternlet fleet-report telem --out fleet_report.html
-    patternlet metrics-serve telem --once
+    patternlet sweep --seeds 0-49 --jobs 2
     patternlet bench --quick --check BENCH_runtime.json
     patternlet catalog
 
@@ -198,29 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--jobs", type=int, default=None, metavar="N",
                          help="worker processes (default: auto; REPRO_JOBS "
                               "overrides the auto heuristic)")
-    p_sweep.add_argument("--fleet", type=int, default=None, metavar="N",
-                         help="run the grid on N persistent fleet workers "
-                              "(file-based job messenger + work stealing; "
-                              "0 = auto-size, default: REPRO_FLEET_WORKERS "
-                              "else off)")
     p_sweep.add_argument("--no-cache", action="store_true",
                          help="recompute every run; skip the run cache")
     p_sweep.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="run-cache location (default ~/.cache/repro-runs)")
-    p_sweep.add_argument("--telemetry", nargs="?", const="fleet-telemetry",
-                         default=None, metavar="DIR",
-                         help="(fleet only) journal every worker, export the "
-                              "merged batch telemetry to DIR (default "
-                              "fleet-telemetry/) — render it with "
-                              "'patternlet fleet-report DIR'")
-    p_sweep.add_argument("--telemetry-port", type=int, default=None,
-                         metavar="PORT",
-                         help="with --telemetry: serve live OpenMetrics over "
-                              "the running fleet on PORT (0 = ephemeral)")
-    p_sweep.add_argument("--keep-fleet-dir", action="store_true",
-                         help="keep the fleet's message directory (skip the "
-                              "per-batch cleanup and shutdown removal) for "
-                              "post-mortem inspection")
     p_sweep.add_argument("--per-run", action="store_true",
                          help="print one line per run, not per group")
     p_sweep.add_argument("--quick", action="store_true",
@@ -245,9 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="pin the collective-latency benches to one "
                               "communicator topology (default: report the "
                               "fastest per np)")
-    p_bench.add_argument("--fleet", type=int, default=None, metavar="N",
-                         help="worker count for the fleet sweep benches "
-                              "(default: 2)")
 
     p_daemon = sub.add_parser(
         "serve",
@@ -278,46 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_daemon.add_argument("--max-cells", type=int, default=256, metavar="N",
                           help="largest grid one POST /sweep may expand to "
                                "(default 256)")
-    p_daemon.add_argument("--fleet", type=int, default=None, metavar="N",
-                          help="route large /sweep grids to an N-worker "
-                               "sweep fleet (default: off)")
-    p_daemon.add_argument("--telemetry-dir", default=None, metavar="DIR",
-                          help="fleet journal directory folded into /metrics")
     p_daemon.add_argument("--drain-timeout", type=float, default=10.0,
                           metavar="S",
                           help="seconds shutdown waits for in-flight runs "
                                "(default 10)")
-
-    p_serve = sub.add_parser(
-        "metrics-serve",
-        help="serve (or print) the merged OpenMetrics view of a fleet "
-             "directory or telemetry export — the same view the service "
-             "daemon folds into its /metrics under serve --telemetry-dir",
-    )
-    p_serve.add_argument("dir", metavar="DIR",
-                         help="a live fleet root or an exported telemetry "
-                              "directory (from sweep --telemetry)")
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=0,
-                         help="listen port (default 0 = ephemeral)")
-    p_serve.add_argument("--once", action="store_true",
-                         help="print one rendered scrape to stdout and exit "
-                              "(no server)")
-
-    p_freport = sub.add_parser(
-        "fleet-report",
-        help="render an exported fleet-telemetry directory into a "
-             "self-contained HTML dashboard (worker lanes, steals, "
-             "straggler heatmap, cache hits)",
-    )
-    p_freport.add_argument("dir", metavar="DIR",
-                           help="telemetry export directory "
-                                "(from sweep --telemetry)")
-    p_freport.add_argument("--out", metavar="FILE", default="fleet_report.html",
-                           help="output HTML path (default fleet_report.html)")
-    p_freport.add_argument("--trace-out", metavar="FILE", default=None,
-                           help="also write the merged Chrome trace (workers "
-                                "as processes, ranks as threads) to FILE")
 
     p_quiz = sub.add_parser(
         "quiz", help="print the four-question parallel-week exam (and, with --key, its computed answers)"
@@ -539,13 +479,7 @@ def _parse_seed_spec(spec: str) -> list[int]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import json
 
-    from repro.batch import (
-        RunSpec,
-        figure_suite_specs,
-        fleet_size,
-        run_specs,
-        run_specs_fleet,
-    )
+    from repro.batch import RunSpec, figure_suite_specs, run_specs
 
     try:
         seeds = _parse_seed_spec(args.seeds)
@@ -604,36 +538,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 for topo in topologies
             ]
 
-    n_fleet = fleet_size(args.fleet, len(specs))
-    if n_fleet is None and (args.telemetry or args.telemetry_port is not None
-                            or args.keep_fleet_dir):
-        print("error: --telemetry/--telemetry-port/--keep-fleet-dir need the "
-              "fleet (add --fleet N)", file=sys.stderr)
-        return 1
-    if n_fleet is not None:
-        from repro.batch import fleet_advisory
-
-        advisory = fleet_advisory(len(specs), n_fleet)
-        if advisory is not None:
-            print(advisory, file=sys.stderr)
-        report = run_specs_fleet(
-            specs,
-            workers=n_fleet,
-            use_cache=False if args.no_cache else None,
-            cache_dir=args.cache_dir,
-            telemetry_dir=args.telemetry,
-            serve_port=args.telemetry_port,
-            keep_fleet_dir=args.keep_fleet_dir,
-            announce=lambda url: print(f"serving metrics at {url}",
-                                       file=sys.stderr),
-        )
-    else:
-        report = run_specs(
-            specs,
-            max_workers=args.jobs,
-            use_cache=False if args.no_cache else None,
-            cache_dir=args.cache_dir,
-        )
+    report = run_specs(
+        specs,
+        max_workers=args.jobs,
+        use_cache=False if args.no_cache else None,
+        cache_dir=args.cache_dir,
+    )
 
     if args.per_run:
         for o in report.outcomes:
@@ -667,14 +577,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(line)
 
     stats = report.stats()
-    if report.fleet is not None:
-        tail = (f", fleet of {report.fleet['workers']} "
-                f"({report.fleet['completed_shards']} shards, "
-                f"{report.fleet['steals']} steals)")
-    elif stats["pooled"]:
-        tail = f", {stats['workers']} workers"
-    else:
-        tail = ", in-process"
+    tail = f", {stats['workers']} workers" if stats["pooled"] else ", in-process"
     print(
         f"\n{stats['runs']} runs in {stats['wall_s']:.3f}s "
         f"({stats['throughput_runs_s']:.0f} runs/s) — "
@@ -682,20 +585,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"(hit rate {stats['hit_rate']:.0%})" + tail,
         file=sys.stderr,
     )
-    if report.telemetry is not None:
-        print(
-            f"telemetry: {report.telemetry['records']} journal records "
-            f"for sweep {report.telemetry['sweep_id']} exported to "
-            f"{report.telemetry['dir']} — render with "
-            f"'patternlet fleet-report {report.telemetry['dir']}'",
-            file=sys.stderr,
-        )
-    elif args.telemetry:
-        print("note: the batch ran on a degraded (non-fleet) path; no "
-              "telemetry was journalled", file=sys.stderr)
-    if args.keep_fleet_dir and report.fleet is not None \
-            and report.fleet.get("root"):
-        print(f"fleet dir kept at {report.fleet['root']}", file=sys.stderr)
     if args.stats_out:
         try:
             with open(args.stats_out, "w") as fh:
@@ -725,7 +614,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"running engine benchmarks ({'quick' if args.quick else 'full'})",
           file=sys.stderr)
     metrics = run_benchmarks(quick=args.quick, progress=note,
-                             topology=args.topology, fleet=args.fleet)
+                             topology=args.topology)
 
     baseline = None
     if args.check:
@@ -796,8 +685,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         max_cells=max(1, args.max_cells),
-        fleet=args.fleet,
-        telemetry_dir=args.telemetry_dir,
         drain_timeout_s=args.drain_timeout,
     )
 
@@ -818,67 +705,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("warning: drain timed out with runs still in flight",
               file=sys.stderr)
         return 1
-    return 0
-
-
-def _cmd_metrics_serve(args: argparse.Namespace) -> int:
-    import os.path
-
-    from repro.obs.telemetry import fleet_registry, serve_metrics
-
-    if not os.path.isdir(args.dir):
-        print(f"error: {args.dir} is not a directory", file=sys.stderr)
-        return 1
-    if args.once:
-        print(fleet_registry(args.dir).to_openmetrics(), end="")
-        return 0
-    try:
-        server = serve_metrics(args.dir, host=args.host, port=args.port)
-    except OSError as exc:
-        print(f"error: cannot bind {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 1
-    print(f"serving OpenMetrics for {args.dir} at {server.url} "
-          "(Ctrl-C to stop)", file=sys.stderr)
-    try:
-        while True:
-            time.sleep(1.0)
-    except KeyboardInterrupt:
-        return 0
-    finally:
-        server.stop()
-
-
-def _cmd_fleet_report(args: argparse.Namespace) -> int:
-    from repro.obs.fleet_report import write_fleet_report
-    from repro.obs.telemetry import load_export
-
-    try:
-        records, summary = load_export(args.dir)
-    except OSError as exc:
-        print(f"error: cannot read {args.dir}: {exc}", file=sys.stderr)
-        return 1
-    if not records:
-        print(f"error: no journal records under {args.dir} — was the sweep "
-              "run with --telemetry?", file=sys.stderr)
-        return 1
-    try:
-        write_fleet_report(args.dir, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
-    print(f"wrote {args.out} ({len(records)} journal records, "
-          f"sweep {summary.get('sweep_id', '?')})")
-    if args.trace_out:
-        from repro.trace.export import write_fleet_chrome_trace
-
-        try:
-            count = write_fleet_chrome_trace(args.trace_out, records)
-        except OSError as exc:
-            print(f"error: cannot write {args.trace_out}: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(f"wrote {count} trace events to {args.trace_out}")
     return 0
 
 
@@ -945,10 +771,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_bench(args)
         if args.command == "serve":
             return _cmd_serve(args)
-        if args.command == "metrics-serve":
-            return _cmd_metrics_serve(args)
-        if args.command == "fleet-report":
-            return _cmd_fleet_report(args)
         if args.command == "quiz":
             return _cmd_quiz(args.key)
         if args.command == "catalog":

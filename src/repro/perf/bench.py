@@ -78,19 +78,6 @@ optimises:
     fraction (1.0 when the cache is sound), and
     ``figure_suite_batch_wall_s`` the cold batch's wall clock.
 
-``fleet_sweep_runs_s`` / ``fleet_speedup_vs_pool``
-    The sharded fleet (:mod:`repro.batch.fleet`): the same figure-suite
-    grid through persistent worker processes coordinated by the
-    file-based job messenger, interleaved A/B against the in-process
-    path over one shared warm cache.  ``fleet_sweep_runs_s`` (gated) is
-    the fleet's best warm throughput — it prices the whole messenger
-    (job files, claims, status heartbeats, result merge) on top of
-    cache-served runs, so a protocol regression (chattier polling, a
-    slower claim path) lands squarely on it.  ``fleet_speedup_vs_pool``
-    is the A/B ratio, *reported only*: above 1 on multi-core hosts,
-    below 1 on single-core CI where the fleet's processes time-slice one
-    CPU — gating a machine property would make the check runner-shaped.
-
 ``serve_p50_ms`` / ``serve_p99_ms`` / ``served_runs_s`` / ``coalesce_hit_rate``
     The service daemon (:mod:`repro.serve`): a 300-request burst of one
     identical Fig. 21/22 grid cell from 8 keep-alive client threads
@@ -108,15 +95,6 @@ optimises:
     cache-disabled (A) and cache-served (B) passes, best-of-each, so
     both arms see the same machine state.  The speedup is the number the
     tentpole promises (≥ 2x warm).
-
-``telemetry_overhead_pct``
-    What the fleet telemetry plane (worker journals + span propagation,
-    :mod:`repro.obs.telemetry`) costs on warm fleet sweeps, interleaved
-    A/B between a journalling fleet and a plain one over the same warm
-    cache, taking the best per-round ratio.  Gated
-    *absolutely* against :data:`TELEMETRY_OVERHEAD_BUDGET_PCT` (5%):
-    journals are a handful of buffered JSONL appends per cell, which
-    must stay invisible next to the messenger's own file traffic.
 
 All engine benchmarks run under ``muted()`` so they measure the engine,
 not the trace recorder; the trace fast path is itself covered because
@@ -156,12 +134,10 @@ __all__ = [
     "HIGHER_IS_BETTER",
     "LOWER_IS_BETTER",
     "SCHEMA",
-    "TELEMETRY_OVERHEAD_BUDGET_PCT",
     "bench_allreduce_latency",
     "bench_batch_suite",
     "bench_bcast_latency",
     "bench_figure_suite",
-    "bench_fleet_sweep",
     "bench_large_np_suite",
     "bench_msg_throughput",
     "bench_np1024_spmd",
@@ -169,7 +145,6 @@ __all__ = [
     "bench_selfcheck_ab",
     "bench_serve",
     "bench_switch_rate",
-    "bench_telemetry_overhead",
     "compare",
     "format_table",
     "load_report",
@@ -190,7 +165,6 @@ HIGHER_IS_BETTER = (
     "switch_rate",
     "switch_rate_np64",
     "batch_throughput_runs_s",
-    "fleet_sweep_runs_s",
     "served_runs_s",
 )
 
@@ -206,13 +180,6 @@ LOWER_IS_BETTER = (
     "serve_p50_ms",
     "serve_p99_ms",
 )
-
-#: Absolute ceiling (percent) for the fleet telemetry plane's overhead
-#: on warm sweeps.  Fixed, not tolerance-derived: journalling is a few
-#: buffered JSONL appends per cell, so a redesign that costs more than
-#: 5% of fleet throughput fails every ``--check`` on any baseline.
-TELEMETRY_OVERHEAD_BUDGET_PCT = 5.0
-
 
 def bench_msg_throughput(payload: Any = 12345, *, n: int = 3000, batch: int = 1) -> float:
     """Messages/second for a rank0→rank1 stream of ``payload`` copies.
@@ -435,65 +402,6 @@ def bench_batch_suite(*, quick: bool = False, repeats: int = 3) -> dict[str, flo
     }
 
 
-def bench_fleet_sweep(
-    *, quick: bool = False, workers: int | None = None, rounds: int = 3
-) -> dict[str, float]:
-    """Warm fleet sweep vs warm in-process sweep, interleaved A/B.
-
-    A cold fleet pass primes a private cache; each round then runs one
-    warm fleet pass (A) and one warm in-process pass (B) over the same
-    cache, best-of-each.  ``fleet_sweep_runs_s`` is the fleet arm's best
-    warm throughput — cache-served cells plus the full messenger
-    overhead — and ``fleet_speedup_vs_pool`` the A/B ratio (above 1 only
-    when real cores back the worker processes).  The fleet is private to
-    the measurement and torn down afterwards, so the benchmark never
-    leaves worker processes behind or perturbs a session fleet.
-    """
-    import shutil
-    import tempfile
-
-    from repro.batch import figure_suite_specs, run_specs
-    from repro.batch.fleet import Fleet
-
-    # Always the 5-seed grid, quick or not: below the fleet's
-    # amortisation threshold a sweep measures per-job messenger fixed
-    # cost, not throughput, so a shrunken quick grid would sample a
-    # different quantity than the committed full-mode baseline and the
-    # --check gate would compare apples to oranges.  The whole warm A/B
-    # is under a second, so quick mode loses nothing by keeping it.
-    del quick
-    n_workers = max(2, workers or 2)
-    # 70 cells ≥ workers × FLEET_AMORTISE_CELLS for the default 2-worker
-    # fleet: the grid must sit *past* the amortisation threshold, or the
-    # A/B prices per-job messenger fixed cost instead of throughput and
-    # fleet_speedup_vs_pool reads ~0.3 on any machine (the
-    # tests assert fleet_advisory() fires on the old 4-seed grid).
-    specs = figure_suite_specs(seeds=range(5))
-    tmp = tempfile.mkdtemp(prefix="repro-bench-fleet-")
-    fleet = None
-    try:
-        fleet = Fleet(n_workers, use_cache=True, cache_dir=tmp)
-        fleet.submit(specs, timeout=300.0)  # cold prime
-        fleet_tp: list[float] = []
-        pool_tp: list[float] = []
-        for _ in range(rounds):
-            rep = fleet.submit(specs, timeout=300.0)
-            fleet_tp.append(rep.throughput_runs_s)
-            rep = run_specs(specs, max_workers=1, use_cache=True, cache_dir=tmp)
-            pool_tp.append(rep.throughput_runs_s)
-    finally:
-        if fleet is not None:
-            fleet.shutdown()
-        shutil.rmtree(tmp, ignore_errors=True)
-    best_fleet, best_pool = max(fleet_tp), max(pool_tp)
-    return {
-        "fleet_sweep_runs_s": round(best_fleet, 1),
-        "fleet_speedup_vs_pool": round(best_fleet / best_pool, 2)
-        if best_pool > 0
-        else 0.0,
-    }
-
-
 def _pct(values: list[float], q: float) -> float:
     """Nearest-rank percentile (deterministic; no interpolation)."""
     ordered = sorted(values)
@@ -654,65 +562,11 @@ def bench_selfcheck_ab(*, rounds: int = 3) -> dict[str, float]:
     }
 
 
-def bench_telemetry_overhead(
-    *, quick: bool = False, rounds: int = 3, workers: int | None = None
-) -> float:
-    """Fleet-telemetry overhead on warm sweeps, as a percentage.
-
-    Interleaved A/B over the same warm private cache: one persistent
-    fleet with journals off (base), one with ``telemetry=True`` (probed)
-    — each round runs both arms back to back in alternating order, so
-    adjacent measurements share machine conditions and a per-round
-    ratio is far more stable than comparing bests across rounds.  The
-    probed arm pays everything the telemetry plane adds per cell: the
-    span-context install, the post-run lineage stamp, and the journal
-    appends (claim, cell start/finish, job done).  The reported overhead
-    is the minimum across rounds — interference can only inflate an
-    apparent overhead, never hide a real per-cell cost — and is gated
-    absolutely in :func:`compare` against
-    :data:`TELEMETRY_OVERHEAD_BUDGET_PCT` (5%).
-    """
-    import shutil
-    import tempfile
-
-    from repro.batch import figure_suite_specs
-    from repro.batch.fleet import Fleet
-
-    specs = figure_suite_specs(seeds=range(2 if quick else 4))
-    n_workers = max(2, workers or 2)
-    tmp = tempfile.mkdtemp(prefix="repro-bench-telem-")
-    base_fleet = probed_fleet = None
-    try:
-        base_fleet = Fleet(n_workers, use_cache=True, cache_dir=tmp)
-        probed_fleet = Fleet(n_workers, use_cache=True, cache_dir=tmp,
-                             telemetry=True)
-        base_fleet.submit(specs, timeout=300.0)  # prime the shared cache
-        probed_fleet.submit(specs, timeout=300.0)  # warm the probed arm too
-        best_ratio = 0.0
-        for i in range(rounds):
-            if i % 2:
-                probed = probed_fleet.submit(specs, timeout=300.0).throughput_runs_s
-                base = base_fleet.submit(specs, timeout=300.0).throughput_runs_s
-            else:
-                base = base_fleet.submit(specs, timeout=300.0).throughput_runs_s
-                probed = probed_fleet.submit(specs, timeout=300.0).throughput_runs_s
-            if base > 0:
-                best_ratio = max(best_ratio, probed / base)
-    finally:
-        if probed_fleet is not None:
-            probed_fleet.shutdown()
-        if base_fleet is not None:
-            base_fleet.shutdown()
-        shutil.rmtree(tmp, ignore_errors=True)
-    return round(max(0.0, (1.0 - best_ratio) * 100), 2)
-
-
 def run_benchmarks(
     *,
     quick: bool = False,
     progress: Callable[[str], None] | None = None,
     topology: str | None = None,
-    fleet: int | None = None,
 ) -> dict[str, float]:
     """Run the full metric set; returns ``{metric: value}``.
 
@@ -722,8 +576,7 @@ def run_benchmarks(
 
     ``topology`` pins the collective-latency benches to one communicator
     topology; by default each reports the fastest registered topology at
-    its rank count.  ``fleet`` sizes the fleet-sweep benches' worker set
-    (default 2 — enough to exercise the whole messenger on any host).
+    its rank count.
 
     The gated throughput metrics are each the best of three repetitions:
     a rate sample can only be depressed by interference (GC, a noisy
@@ -803,18 +656,10 @@ def run_benchmarks(
     out["figure_suite_np64_wall_s"] = round(bench_large_np_suite(), 3)
     note("batch runner: cold + warm figure-suite grid")
     out.update(bench_batch_suite(quick=quick))
-    note("sweep fleet: warm fleet vs in-process A/B")
-    out.update(
-        bench_fleet_sweep(quick=quick, workers=fleet, rounds=1 if quick else 3)
-    )
     note("service daemon: 300-request coalescing swarm over a warm cache")
     out.update(bench_serve(quick=quick, rounds=1 if quick else 3))
     note("selfcheck cold/warm interleaved A/B")
     out.update(bench_selfcheck_ab(rounds=1 if quick else 3))
-    note("fleet telemetry overhead A/B (journals on vs off)")
-    out["telemetry_overhead_pct"] = bench_telemetry_overhead(
-        quick=quick, rounds=3 if quick else 5, workers=fleet
-    )
     return out
 
 
@@ -836,11 +681,6 @@ def _best_allreduce_ms_p64(scale: int) -> float:
     )
 
 
-def _fleet_sweep_sample(scale: int) -> float:
-    del scale  # the fleet grid is fixed (see bench_fleet_sweep)
-    return bench_fleet_sweep(rounds=2)["fleet_sweep_runs_s"]
-
-
 def _serve_sample(metric: str) -> Callable[[int], float]:
     def sample(scale: int) -> float:
         del scale  # the burst is fixed-size (see bench_serve)
@@ -854,11 +694,10 @@ def _serve_sample(metric: str) -> Callable[[int], float]:
 #: :func:`run_benchmarks` exactly — each sampler takes the quick-mode
 #: ``scale`` divisor (5 for quick, 1 for full).  Batch throughput is
 #: deliberately absent (a whole cold+warm grid is too expensive to
-#: retry); the fleet sweep *is* sampled — its warm A/B is under a
-#: second and its process-scheduling noise is exactly the transient a
-#: best-of-N retry exists to shed.
+#: retry); the serve burst *is* sampled — it is under a second and its
+#: scheduling noise is exactly the transient a best-of-N retry exists
+#: to shed.
 _GATED_SAMPLERS: dict[str, Callable[[int], float]] = {
-    "fleet_sweep_runs_s": _fleet_sweep_sample,
     "served_runs_s": _serve_sample("served_runs_s"),
     "serve_p50_ms": _serve_sample("serve_p50_ms"),
     "serve_p99_ms": _serve_sample("serve_p99_ms"),
@@ -966,16 +805,6 @@ def compare(
     visible rather than mistaken for a passing check.
     """
     failures: list[str] = []
-    # The telemetry gate is absolute (no baseline needed): worker journals
-    # must stay within TELEMETRY_OVERHEAD_BUDGET_PCT of warm fleet
-    # throughput, whatever machine measured it.
-    telemetry = current.get("telemetry_overhead_pct")
-    if telemetry is not None and telemetry > TELEMETRY_OVERHEAD_BUDGET_PCT:
-        failures.append(
-            f"telemetry_overhead_pct: fleet journalling overhead "
-            f"{telemetry:.1f}% exceeds the "
-            f"{TELEMETRY_OVERHEAD_BUDGET_PCT:.0f}% fleet-sweep budget"
-        )
     for name in HIGHER_IS_BETTER:
         if name not in current:
             continue

@@ -18,8 +18,7 @@ A deliberately small hand-rolled HTTP/1.1 layer on ``asyncio.start_server``
   stopped daemon leaves zero threads behind.
 
 Routes: ``POST /run``, ``POST /sweep``, ``GET /report/<key>``,
-``GET /metrics`` (strict OpenMetrics, same surface as
-``patternlet metrics-serve``), ``GET /healthz``.
+``GET /metrics`` (strict OpenMetrics), ``GET /healthz``.
 
 :func:`running` hosts a daemon on a background thread for tests, the
 bench harness, and embedding; :func:`serve_forever` is the CLI's

@@ -166,11 +166,6 @@ class TraceRecorder:
         self.dropped = 0
         #: Events overwritten by newer ones (ring mode).
         self.evicted = 0
-        #: Span-context labels (sweep/shard/cell/worker lineage) stamped by
-        #: the fleet after a run completes.  Advisory: never part of the
-        #: event stream, cache records, or derived metrics — exports may
-        #: surface it, determinism tests never see it.
-        self.context: dict[str, str] = {}
         self._lock = threading.Lock()
         self._events: list[Event] = []
         self._n = 0  # total events ever emitted (stream position / seq)

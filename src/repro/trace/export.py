@@ -23,10 +23,8 @@ from repro.trace.events import Event, TraceRecorder, as_events
 __all__ = [
     "display_task_name",
     "to_chrome_trace",
-    "to_fleet_chrome_trace",
     "dumps",
     "write_chrome_trace",
-    "write_fleet_chrome_trace",
 ]
 
 TASK_START = "task.start"
@@ -79,19 +77,13 @@ def to_chrome_trace(
     """Convert an event stream to a Chrome trace-event document."""
     events = as_events(source)
     tids: dict[str, int] = {}
-    process_args: dict[str, Any] = {"name": "patternlet run"}
-    if isinstance(source, TraceRecorder):
-        context = getattr(source, "context", None)
-        if context:
-            # Fleet lineage (sweep/shard/cell/worker), when the run has it.
-            process_args.update({k: str(v) for k, v in sorted(context.items())})
     out: list[dict[str, Any]] = [
         {
             "ph": "M",
             "name": "process_name",
             "pid": 0,
             "tid": 0,
-            "args": process_args,
+            "args": {"name": "patternlet run"},
         }
     ]
     for ev in events:
@@ -154,131 +146,3 @@ def write_chrome_trace(
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(events))
     return len(events)
-
-
-# -- the fleet's merged trace -------------------------------------------------
-
-
-def _fleet_pid(worker: int) -> int:
-    # The coordinator journals as worker -1 and maps to pid 0; workers
-    # shift up by one so every pid is a valid (non-negative) process id.
-    return 0 if worker < 0 else worker + 1
-
-
-def to_fleet_chrome_trace(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
-    """Merged fleet journal → Chrome trace: workers as processes.
-
-    Each fleet participant becomes a trace *process* (the coordinator is
-    pid 0), each worker's cell stream is a duration lane (``B``/``E``
-    pairs from ``cell.start``/``cell.finish``), the ranks a cell ran get
-    thread lanes under their worker's process, and everything else
-    (claims — annotated when the shard was stolen — steals, reposts,
-    sweep boundaries) renders as instants.  Timestamps are wall-clock
-    microseconds since the earliest journal record: unlike a single
-    deterministic run, a fleet's interesting axis *is* real time — that
-    is where stragglers and steals live.
-    """
-    recs = [r for r in records if isinstance(r.get("ts"), (int, float))]
-    t0 = min((r["ts"] for r in recs), default=0.0)
-
-    def us(ts: float) -> int:
-        return max(0, round((ts - t0) * 1e6))
-
-    out: list[dict[str, Any]] = []
-    seen_pids: dict[int, int] = {}  # pid -> next free tid for rank lanes
-    rank_tids: dict[tuple[int, str], int] = {}
-
-    def ensure_process(worker: int) -> int:
-        pid = _fleet_pid(worker)
-        if pid not in seen_pids:
-            seen_pids[pid] = 1
-            name = "coordinator" if worker < 0 else f"worker {worker}"
-            out.append({"ph": "M", "name": "process_name", "pid": pid,
-                        "tid": 0, "args": {"name": name}})
-            out.append({"ph": "M", "name": "process_sort_index", "pid": pid,
-                        "tid": 0, "args": {"sort_index": pid}})
-            out.append({"ph": "M", "name": "thread_name", "pid": pid,
-                        "tid": 0, "args": {"name": "cells"}})
-        return pid
-
-    def rank_tid(pid: int, rank: str) -> int:
-        key = (pid, rank)
-        tid = rank_tids.get(key)
-        if tid is None:
-            tid = rank_tids[key] = seen_pids[pid]
-            seen_pids[pid] += 1
-            out.append({"ph": "M", "name": "thread_name", "pid": pid,
-                        "tid": tid, "args": {"name": display_task_name(rank)}})
-            out.append({"ph": "M", "name": "thread_sort_index", "pid": pid,
-                        "tid": tid, "args": {"sort_index": _sort_index(rank)}})
-        return tid
-
-    open_cells: dict[tuple[int, Any, Any], dict[str, Any]] = {}
-    last_ts = t0
-    for rec in recs:
-        worker = int(rec.get("worker", 0))
-        kind = rec.get("kind", "")
-        ts = rec["ts"]
-        last_ts = max(last_ts, ts)
-        pid = ensure_process(worker)
-        span = rec.get("span") if isinstance(rec.get("span"), dict) else {}
-        if kind == "cell.start":
-            key = (worker, rec.get("shard"), rec.get("cell"))
-            open_cells[key] = rec
-            continue
-        if kind == "cell.finish":
-            key = (worker, rec.get("shard"), rec.get("cell"))
-            start = open_cells.pop(key, None)
-            begin_ts = start["ts"] if start else ts
-            name = (start or rec).get("label") or f"cell {rec.get('cell')}"
-            args = {
-                "shard": rec.get("shard"), "cell": rec.get("cell"),
-                "cached": bool(rec.get("cached")),
-                "races": rec.get("races", 0),
-            }
-            args.update({k: _jsonable(v) for k, v in sorted(span.items())})
-            if rec.get("error"):
-                args["error"] = _jsonable(rec["error"])
-            out.append({"ph": "B", "name": name, "cat": "cell", "pid": pid,
-                        "tid": 0, "ts": us(begin_ts), "args": args})
-            out.append({"ph": "E", "name": name, "cat": "cell", "pid": pid,
-                        "tid": 0, "ts": us(ts)})
-            for rank in rec.get("ranks") or []:
-                tid = rank_tid(pid, str(rank))
-                out.append({"ph": "B", "name": name, "cat": "rank",
-                            "pid": pid, "tid": tid, "ts": us(begin_ts)})
-                out.append({"ph": "E", "name": name, "cat": "rank",
-                            "pid": pid, "tid": tid, "ts": us(ts)})
-            continue
-        name = kind
-        if kind == "claim" and rec.get("stolen_from") is not None:
-            name = "claim (stolen)"
-        args = {k: _jsonable(v) for k, v in sorted(rec.items())
-                if k not in ("v", "kind", "ts", "span")}
-        args.update({k: _jsonable(v) for k, v in sorted(span.items())})
-        out.append({"ph": "i", "s": "p", "name": name,
-                    "cat": kind.split(".", 1)[0], "pid": pid, "tid": 0,
-                    "ts": us(ts), "args": args})
-    # A cell.start without its finish (dead worker, torn tail): close the
-    # lane at the last known instant so viewers don't drop the B.
-    for (worker, shard, cell), start in sorted(
-        open_cells.items(), key=lambda kv: str(kv[0])
-    ):
-        pid = ensure_process(worker)
-        name = start.get("label") or f"cell {cell}"
-        out.append({"ph": "B", "name": name, "cat": "cell", "pid": pid,
-                    "tid": 0, "ts": us(start["ts"]),
-                    "args": {"shard": shard, "cell": cell, "unfinished": True}})
-        out.append({"ph": "E", "name": name, "cat": "cell", "pid": pid,
-                    "tid": 0, "ts": us(last_ts)})
-    return {"traceEvents": out, "displayTimeUnit": "ms"}
-
-
-def write_fleet_chrome_trace(
-    path: str, records: Iterable[dict[str, Any]]
-) -> int:
-    """Write the merged-fleet Chrome trace; returns the trace-event count."""
-    doc = to_fleet_chrome_trace(records)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, default=str))
-    return len(doc["traceEvents"])

@@ -282,7 +282,7 @@ class TestPruneTrigger:
         for i in range(200):  # about 1.6 MB: past the cap
             filler.put(f"{i:03d}" + "b" * 61, self.RECORD)
         assert filler.size_bytes() > cap
-        for writer in range(6):  # e.g. one CLI sweep or fleet shard each
+        for writer in range(6):  # e.g. one CLI sweep or selfcheck each
             cache = _cache(tmp_path, max_bytes=cap)
             for i in range(4):  # 32 KB, well under cap / 16
                 cache.put(f"{writer}{i}" + "c" * 62, self.RECORD)
@@ -295,7 +295,8 @@ class TestPruneTrigger:
 # import them.  Each hammers one shared cache root with an interleaved
 # put/get/prune stream: every key is content-shaped (sha256 hex) but
 # drawn from a small universe, so processes constantly collide on the
-# same record files — the fleet's actual access pattern, concentrated.
+# same record files — the access pattern of pool workers and the serve
+# daemon sharing one root, concentrated.
 
 _KEY_UNIVERSE = 24
 

@@ -1,10 +1,9 @@
-"""The batch equivalence guarantee: serial ≡ pooled ≡ cache-served ≡ fleet.
+"""The batch equivalence guarantee: serial ≡ pooled ≡ cache-served.
 
 The tentpole's correctness bar: however a deterministic run is produced
-— in-process, on a forked worker, decoded from a disk record, served
-from the in-process memo, or merged from fleet shards through the file
-messenger — its printed text, span, and happens-before race verdict are
-byte-for-byte the figure suite's.
+— in-process, on a forked worker, decoded from a disk record, or served
+from the in-process memo — its printed text, span, and happens-before
+race verdict are byte-for-byte the figure suite's.
 """
 
 from __future__ import annotations
@@ -104,33 +103,28 @@ class TestFigureSuiteEquivalence:
         assert memo.hit_rate == 1.0
         assert _fingerprint(memo) == _fingerprint(serial)
 
-    def test_fleet_matches_serial(self, serial, tmp_path):
-        # The fourth leg: shards executed by persistent worker processes
-        # through the file messenger, cold then warm, must reproduce the
-        # serial fingerprint exactly — and the warm pass must be served
-        # entirely from the shared cache.
-        from repro.batch.fleet import run_specs_fleet, shutdown_fleet
-
+    def test_pooled_cache_served_matches_serial(self, serial, tmp_path):
+        # Worker processes writing one shared store cold, then serving
+        # it warm, must reproduce the serial fingerprint exactly — and
+        # the warm pass must be served entirely from the store.
         cache_dir = str(tmp_path / "runs")
-        try:
-            cold = run_specs_fleet(
-                figure_suite_specs(SEEDS),
-                workers=2,
-                use_cache=True,
-                cache_dir=cache_dir,
-            )
-            assert not cold.errors and cold.hits == 0
-            assert _fingerprint(cold) == _fingerprint(serial)
-            warm = run_specs_fleet(
-                figure_suite_specs(SEEDS),
-                workers=2,
-                use_cache=True,
-                cache_dir=cache_dir,
-            )
-            assert warm.hit_rate == 1.0
-            assert _fingerprint(warm) == _fingerprint(serial)
-        finally:
-            shutdown_fleet()
+        cold = run_specs(
+            figure_suite_specs(SEEDS),
+            max_workers=2,
+            use_cache=True,
+            cache_dir=cache_dir,
+        )
+        assert cold.pooled and not cold.errors and cold.hits == 0
+        assert _fingerprint(cold) == _fingerprint(serial)
+        shutdown_pool()  # fresh workers: the warm pass reads the disk
+        warm = run_specs(
+            figure_suite_specs(SEEDS),
+            max_workers=2,
+            use_cache=True,
+            cache_dir=cache_dir,
+        )
+        assert warm.pooled and warm.hit_rate == 1.0
+        assert _fingerprint(warm) == _fingerprint(serial)
 
     def test_race_verdicts_survive_the_cache(self, serial, tmp_path):
         # The racy reduction figure must stay provably racy when served.

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.obs import MetricsRegistry, merge_registries, parse_openmetrics
+from repro.obs import MetricsRegistry, parse_openmetrics
 from repro.obs.registry import DEFAULT_BUCKETS, Counter, Gauge, Histogram
 
 
@@ -205,64 +205,6 @@ class TestParserStrictness:
     def test_inf_values_parse(self):
         doc = parse_openmetrics("g{le=\"+Inf\"} +Inf\n# EOF\n")
         assert doc["g"]["samples"][0]["value"] == math.inf
-
-
-class TestMergeRegistries:
-    def test_counters_sum_and_gauges_take_the_last_writer(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("hits", "H.").inc({"w": "0"}, 2)
-        b.counter("hits", "H.").inc({"w": "0"}, 3)
-        b.counter("hits", "H.").inc({"w": "1"}, 1)
-        a.gauge("depth", "D.").set(5)
-        b.gauge("depth", "D.").set(2)
-        merged = merge_registries(a, b)
-        assert merged.get("hits").value({"w": "0"}) == 5
-        assert merged.get("hits").value({"w": "1"}) == 1
-        assert merged.get("depth").value() == 2
-
-    def test_histograms_merge_bucket_wise(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("wall", "W.", buckets=(1, 10)).observe(0.5)
-        b.histogram("wall", "W.", buckets=(1, 10)).observe(5)
-        merged = merge_registries(a, b).get("wall")
-        counts, total, n = merged.samples[()]
-        assert counts == [1, 2] and n == 2 and total == 5.5
-
-    def test_merged_export_is_byte_deterministic(self):
-        def pair():
-            a, b = MetricsRegistry(), MetricsRegistry()
-            a.info["version"] = "1"
-            a.counter("hits", "H.").inc({"w": "0"}, exemplar={"seq": 9})
-            b.counter("hits", "H.").inc({"w": "1"})
-            b.gauge("rate", "R.").set(0.25)
-            return a, b
-
-        one = merge_registries(*pair()).to_openmetrics()
-        two = merge_registries(*pair()).to_openmetrics()
-        assert one == two
-        parse_openmetrics(one)  # strict; must not raise
-
-    def test_exemplars_stay_first_wins_across_inputs(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("hits", "H.").inc({"w": "0"}, exemplar={"seq": 1})
-        b.counter("hits", "H.").inc({"w": "0"}, exemplar={"seq": 2})
-        merged = merge_registries(a, b)
-        labels, _ = merged.get("hits").exemplars[(("w", "0"),)]
-        assert dict(labels) == {"seq": "1"}
-
-    def test_prefix_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="prefix"):
-            merge_registries(MetricsRegistry(), MetricsRegistry(prefix="other"))
-
-    def test_bucket_mismatch_rejected(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("wall", "W.", buckets=(1, 10))
-        b.histogram("wall", "W.", buckets=(1, 100))
-        with pytest.raises(ValueError, match="bounds"):
-            merge_registries(a, b)
-
-    def test_empty_merge_is_an_empty_registry(self):
-        assert len(merge_registries()) == 0
 
 
 class TestJsonExport:

@@ -65,7 +65,6 @@ class TestComparePolicy:
             "switch_rate",
             "switch_rate_np64",
             "batch_throughput_runs_s",
-            "fleet_sweep_runs_s",
             "served_runs_s",
         }
         assert set(bench.LOWER_IS_BETTER) == {
@@ -74,25 +73,6 @@ class TestComparePolicy:
             "serve_p50_ms",
             "serve_p99_ms",
         }
-
-    def test_telemetry_overhead_gated_against_absolute_budget(self):
-        # telemetry_overhead_pct has its own fixed budget (5%): worker
-        # journalling must stay cheap on warm fleet sweeps everywhere.
-        assert bench.TELEMETRY_OVERHEAD_BUDGET_PCT == 5.0
-        over = dict(METRICS, telemetry_overhead_pct=6.5)
-        failures = compare(over, METRICS)
-        assert len(failures) == 1
-        assert "5%" in failures[0]
-        under = dict(METRICS, telemetry_overhead_pct=3.1)
-        assert compare(under, METRICS) == []
-
-    def test_telemetry_overhead_is_absolute_not_relative(self):
-        # The gate ignores the baseline entirely — a budget, not a diff.
-        assert "telemetry_overhead_pct" not in HIGHER_IS_BETTER
-        assert "telemetry_overhead_pct" not in bench.LOWER_IS_BETTER
-        current = dict(METRICS, telemetry_overhead_pct=4.0)
-        baseline = dict(METRICS, telemetry_overhead_pct=0.5)
-        assert compare(current, baseline) == []
 
     def test_gated_metric_absent_from_baseline_warns_but_passes(self):
         # An older baseline file predating a gated metric must not fail
@@ -103,22 +83,6 @@ class TestComparePolicy:
         assert len(skips) == 1
         assert "batch_throughput_runs_s" in skips[0]
         assert "regenerate the baseline" in skips[0]
-
-    def test_fleet_gate_skips_with_warning_on_old_baselines(self):
-        # fleet_sweep_runs_s is gated but new: a pre-fleet baseline must
-        # keep passing, with the un-armed gate surfaced as a warning.
-        current = dict(METRICS, fleet_sweep_runs_s=500.0)
-        skips: list[str] = []
-        assert compare(current, METRICS, on_skip=skips.append) == []
-        assert any("fleet_sweep_runs_s" in s for s in skips)
-
-    def test_fleet_speedup_is_reported_not_gated(self):
-        # The A/B ratio is a machine property (cores), never a gate.
-        assert "fleet_speedup_vs_pool" not in HIGHER_IS_BETTER
-        assert "fleet_speedup_vs_pool" not in bench.LOWER_IS_BETTER
-        current = dict(METRICS, fleet_speedup_vs_pool=0.4)
-        baseline = dict(METRICS, fleet_speedup_vs_pool=2.0)
-        assert compare(current, baseline) == []
 
     def test_no_skip_warning_when_baseline_has_the_metric(self):
         current = dict(METRICS, batch_throughput_runs_s=1000.0)
@@ -222,22 +186,6 @@ class TestRemeasure:
         assert out["bcast_ms_p32"] == 2.0
 
 
-class TestFleetBenchGrid:
-    def test_grid_sits_past_the_amortisation_threshold(self):
-        # The regression behind the 0.29 "speedup": the old 4-seed grid
-        # (56 cells) was under workers × FLEET_AMORTISE_CELLS, so the
-        # A/B priced per-job messenger fixed cost, not throughput.  The
-        # bench grid must stay past the threshold the advisory warns at.
-        from repro.batch import figure_suite_specs
-        from repro.batch.fleet import FLEET_AMORTISE_CELLS, fleet_advisory
-
-        bench_grid = figure_suite_specs(seeds=range(5))
-        assert len(bench_grid) >= 2 * FLEET_AMORTISE_CELLS
-        assert fleet_advisory(len(bench_grid), 2) is None
-        old_grid = figure_suite_specs(seeds=range(4))
-        assert fleet_advisory(len(old_grid), 2) is not None
-
-
 class TestServeBench:
     def test_serve_gates_have_samplers(self):
         # A failing serve gate must be re-measurable like any other.
@@ -277,7 +225,7 @@ class TestCli:
         monkeypatch.setattr(
             bench,
             "run_benchmarks",
-            lambda *, quick, progress=None, topology=None, fleet=None: dict(METRICS),
+            lambda *, quick, progress=None, topology=None: dict(METRICS),
         )
         monkeypatch.setattr(
             bench,
@@ -315,7 +263,7 @@ class TestCli:
         monkeypatch.setattr(
             bench,
             "run_benchmarks",
-            lambda *, quick, progress=None, topology=None, fleet=None: dict(dipped),
+            lambda *, quick, progress=None, topology=None: dict(dipped),
         )
         retried: list[list[str]] = []
         monkeypatch.setattr(
@@ -340,7 +288,7 @@ class TestCli:
         monkeypatch.setattr(
             bench,
             "run_benchmarks",
-            lambda *, quick, progress=None, topology=None, fleet=None: dict(
+            lambda *, quick, progress=None, topology=None: dict(
                 METRICS, batch_throughput_runs_s=1000.0
             ),
         )

@@ -146,3 +146,36 @@ class TestServiceTiers:
         assert tier == "cache"
         assert cold_body == warm_body
         assert cold.c_executions.total() == 0.0
+
+
+class TestSweepWindow:
+    def test_sweep_cells_enter_at_most_workers_at_a_time(self):
+        # A sweep feeds its cells through serve_run a window of
+        # `workers` wide, so a /run arriving mid-sweep queues behind at
+        # most that many cells instead of behind the whole grid.
+        service, calls = _stubbed_service(workers=2)
+        pending_at_dispatch = []
+        stub = service._dispatch
+
+        async def dispatch(spec):
+            pending_at_dispatch.append(service._pending)
+            return await stub(spec)
+
+        service._dispatch = dispatch
+        cells = [parse_run_request(_body(seed, 2, True)) for seed in range(12)]
+        probe = parse_run_request(_body(99, 3, True))
+
+        async def sweep_then_run():
+            sweep = asyncio.create_task(service.serve_sweep(cells))
+            await asyncio.sleep(0.012)  # the sweep is under way
+            run = await service.serve_run(probe)
+            return await sweep, run
+
+        try:
+            (status, _), (run_status, _, tier) = asyncio.run(sweep_then_run())
+        finally:
+            service.close()
+        assert status == 200 and (run_status, tier) == (200, "execute")
+        assert max(pending_at_dispatch) <= 3  # two sweep cells + the /run
+        assert calls.index(probe) < len(cells)  # not queued behind the grid
+        assert service.c_shed.total() == 0.0

@@ -166,6 +166,19 @@ class TestAdmission:
             assert results[0][0] == 200  # the leader still finished
             assert daemon.service.c_shed.total() == 1.0
 
+    def test_sweep_past_high_water_does_not_shed_its_own_cells(self, tmp_path):
+        # 40 uncached cells on an idle daemon whose high-water mark is
+        # 1 + 32: fed all at once, cells 34-40 would be shed with 429 by
+        # their own siblings.
+        cfg = ServeConfig(cache_dir=str(tmp_path), use_cache=False, workers=1)
+        with running(cfg) as daemon:
+            grid = {"patternlets": ["openmp.spmd"], "seeds": list(range(40))}
+            status, _, doc = _request(daemon.port, "POST", "/sweep", grid)
+            assert status == 200, doc
+            assert doc["runs"] == 40 and doc["errors"] == 0
+            assert daemon.service.c_shed.total() == 0.0
+            assert daemon.service.c_executions.total() == 40.0
+
     def test_queue_deadline_expires_with_503(self, tmp_path):
         cfg = ServeConfig(cache_dir=str(tmp_path), workers=1,
                           queue_limit=4, deadline_ms=100)

@@ -178,45 +178,31 @@ class TestSweepCommand:
         assert data["runs"] == 3 and data["errors"] == 0
         assert {"hit_rate", "throughput_runs_s", "workers"} <= set(data)
 
-    def test_sweep_fleet_cold_then_warm(self, tmp_path, capsys):
+    def test_sweep_jobs_cold_then_warm(self, tmp_path, capsys):
         import json
 
-        from repro.batch.fleet import shutdown_fleet
+        from repro.batch.pool import shutdown_pool
 
         cache_dir = str(tmp_path / "runs")
         stats = tmp_path / "stats.json"
+        args = ["sweep", "openmp.spmd", "--seeds", "0-5", "--cache-dir",
+                cache_dir, "--stats-out", str(stats)]
         try:
-            assert main(
-                ["sweep", "openmp.spmd", "--seeds", "0-5", "--fleet", "2",
-                 "--cache-dir", cache_dir, "--stats-out", str(stats)]
-            ) == 0
+            assert main(args + ["--jobs", "2"]) == 0
             cold = capsys.readouterr()
-            assert "fleet of 2" in cold.err and "hit rate 0%" in cold.err
-            data = json.loads(stats.read_text())
-            assert data["fleet"]["workers"] == 2
-            assert data["runs"] == 6 and data["errors"] == 0
-            assert main(
-                ["sweep", "openmp.spmd", "--seeds", "0-5", "--fleet", "2",
-                 "--cache-dir", cache_dir, "--stats-out", str(stats)]
-            ) == 0
-            warm = capsys.readouterr()
-            assert "hit rate 100%" in warm.err
+            assert "2 workers" in cold.err and "hit rate 0%" in cold.err
+            pooled = json.loads(stats.read_text())
+            assert pooled["workers"] == 2 and pooled["pooled"] is True
+            assert pooled["runs"] == 6 and pooled["errors"] == 0
+            assert main(args + ["--jobs", "2"]) == 0
+            assert "hit rate 100%" in capsys.readouterr().err
             assert json.loads(stats.read_text())["hit_rate"] == 1.0
         finally:
-            shutdown_fleet()
-
-    def test_sweep_fleet_env_hatch(self, tmp_path, capsys, monkeypatch):
-        from repro.batch.fleet import shutdown_fleet
-
-        monkeypatch.setenv("REPRO_FLEET_WORKERS", "2")
-        try:
-            assert main(
-                ["sweep", "openmp.spmd", "--seeds", "0-3",
-                 "--cache-dir", str(tmp_path / "runs")]
-            ) == 0
-            assert "fleet of 2" in capsys.readouterr().err
-        finally:
-            shutdown_fleet()
+            shutdown_pool()
+        assert main(args + ["--jobs", "1", "--no-cache"]) == 0
+        serial = json.loads(stats.read_text())
+        assert serial["pooled"] is False
+        assert serial["cells"] == pooled["cells"]
 
     def test_sweep_no_cache_never_hits(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "runs")
@@ -384,78 +370,6 @@ class TestReportCommand:
         assert main(
             ["report", "openmp.zzz", "--out", str(tmp_path / "x.html")]
         ) == 1
-
-
-class TestTelemetryCli:
-    def test_telemetry_flags_require_the_fleet(self, tmp_path, capsys):
-        assert main(
-            ["sweep", "openmp.spmd", "--seeds", "0-2",
-             "--cache-dir", str(tmp_path / "runs"),
-             "--telemetry", str(tmp_path / "telem")]
-        ) == 1
-        assert "--fleet" in capsys.readouterr().err
-
-    def test_small_fleet_grid_prints_the_advisory(self, tmp_path, capsys):
-        from repro.batch.fleet import shutdown_fleet
-
-        try:
-            assert main(
-                ["sweep", "openmp.spmd", "--seeds", "0-3", "--fleet", "2",
-                 "--cache-dir", str(tmp_path / "runs")]
-            ) == 0
-        finally:
-            shutdown_fleet()
-        assert "amortisation" in capsys.readouterr().err
-
-    def test_sweep_telemetry_then_report_and_scrape(self, tmp_path, capsys):
-        from repro.batch.fleet import shutdown_fleet
-        from repro.obs import parse_openmetrics
-
-        telem = tmp_path / "telem"
-        try:
-            assert main(
-                ["sweep", "openmp.spmd", "--seeds", "0-5", "--fleet", "2",
-                 "--cache-dir", str(tmp_path / "runs"),
-                 "--telemetry", str(telem)]
-            ) == 0
-        finally:
-            shutdown_fleet()
-        err = capsys.readouterr().err
-        assert "telemetry:" in err and "fleet-report" in err
-        assert (telem / "journal.jsonl").is_file()
-
-        html_path = tmp_path / "fleet.html"
-        trace_path = tmp_path / "fleet_trace.json"
-        assert main(
-            ["fleet-report", str(telem), "--out", str(html_path),
-             "--trace-out", str(trace_path)]
-        ) == 0
-        assert "wrote" in capsys.readouterr().out
-        html = html_path.read_text(encoding="utf-8")
-        assert "Per-worker cell timeline" in html
-        import json
-
-        doc = json.loads(trace_path.read_text(encoding="utf-8"))
-        assert {e["ph"] for e in doc["traceEvents"]} >= {"M", "B", "E"}
-
-        assert main(["metrics-serve", str(telem), "--once"]) == 0
-        one = capsys.readouterr().out
-        assert main(["metrics-serve", str(telem), "--once"]) == 0
-        two = capsys.readouterr().out
-        assert one == two  # quiesced scrapes are byte-identical
-        doc = parse_openmetrics(one)
-        assert "patternlet_fleet_worker_cells" in doc
-
-    def test_metrics_serve_missing_dir_is_an_error(self, tmp_path, capsys):
-        assert main(["metrics-serve", str(tmp_path / "nope"), "--once"]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_fleet_report_empty_dir_is_an_error(self, tmp_path, capsys):
-        assert main(
-            ["fleet-report", str(tmp_path),
-             "--out", str(tmp_path / "x.html")]
-        ) == 1
-        assert "--telemetry" in capsys.readouterr().err
 
 
 class TestSelfcheckCacheLine:
